@@ -8,14 +8,13 @@
 
 use dvs::{EdvsConfig, TdvsConfig};
 use nepsim::{Benchmark, PolicySpec};
-use serde::{Deserialize, Serialize};
 use traffic::TrafficSpec;
 use xrun::{JobError, Runner};
 
 use crate::experiment::{expect_cells, run_experiments, Experiment, ExperimentResult};
 
 /// One evaluated ablation point: the varied parameter and the result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AblationCell {
     /// The value of the varied parameter.
     pub parameter: f64,

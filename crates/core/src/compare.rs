@@ -7,7 +7,6 @@ use dvs::{
     CombinedConfig, EdvsConfig, PolicyKind, ProportionalConfig, QueueAwareConfig, TdvsConfig,
 };
 use nepsim::{Benchmark, PolicySpec};
-use serde::{Deserialize, Serialize};
 use traffic::TrafficSpec;
 use xrun::{JobError, Runner};
 
@@ -15,7 +14,7 @@ use crate::experiment::{run_experiments, Experiment, ExperimentResult};
 
 /// One row of the Fig. 11 grid: a benchmark × traffic level × policy
 /// combination with its measured result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ComparisonRow {
     /// Benchmark application.
     pub benchmark: Benchmark,
@@ -29,7 +28,7 @@ pub struct ComparisonRow {
 
 /// The full comparison grid: every benchmark × traffic level, each run
 /// under every compared policy family.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyComparison {
     /// All rows, ordered benchmark-major, then traffic, then policy in
     /// [`ComparisonConfig::policies`] order.
@@ -39,7 +38,7 @@ pub struct PolicyComparison {
 /// The fixed policy parameters of the §4.3 comparison: the optima found
 /// by the §4.1/§4.2 sweeps for the paper's policies, defaults for the
 /// extension policies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComparisonConfig {
     /// TDVS parameters (the paper's power-priority pick: 1400 Mbps, 40 k).
     pub tdvs: TdvsConfig,

@@ -2,7 +2,6 @@
 
 use loc::{AnalyzerBank, DistributionReport};
 use nepsim::{Benchmark, MemRecorder, NpuConfig, PolicySpec, Recording, SimReport, Simulator};
-use serde::{Deserialize, Serialize};
 use traffic::TrafficSpec;
 use xrun::{Job, JobError, JobSpec, Runner};
 
@@ -14,7 +13,7 @@ pub const PAPER_RUN_CYCLES: u64 = 8_000_000;
 
 /// One point in the design space: a benchmark, a traffic level, a DVS
 /// policy, a run length and a seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Experiment {
     /// Benchmark application (§3.1).
     pub benchmark: Benchmark,
@@ -219,7 +218,7 @@ pub fn expect_cells<T>(outcomes: Vec<Result<T, JobError>>) -> Vec<T> {
 }
 
 /// A simulated configuration together with its analyzed distributions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentResult {
     /// The experiment that produced this result.
     pub experiment: Experiment,

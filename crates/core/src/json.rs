@@ -1,13 +1,10 @@
 //! Hand-rolled JSON output for experiment results.
 //!
-//! The workspace's `serde` is an offline no-op shim (see
-//! `shims/README.md`), so result containers derive the marker traits but
-//! generate no serialization code; this module writes the JSON the
-//! `abdex ... --json <path>` flag emits by hand. The schema is flat and
-//! stable: every document has a `"kind"` discriminator and every cell
-//! carries its full experiment description plus a `"metrics"` object, so
-//! downstream tooling (plots, regression trackers) never has to re-parse
-//! the human-readable tables.
+//! This module writes the JSON the `abdex ... --json <path>` flag emits
+//! by hand. The schema is flat and stable: every document has a
+//! `"kind"` discriminator and every cell carries its full experiment
+//! description plus a `"metrics"` object, so downstream tooling (plots,
+//! regression trackers) never has to re-parse the human-readable tables.
 
 use scenario::ScenarioRun;
 use stats::{welch_t, ConfidenceLevel, Summary};

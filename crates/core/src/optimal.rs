@@ -1,13 +1,11 @@
 //! Optimal-configuration selection (paper §4.1's design conclusions).
 
-use serde::{Deserialize, Serialize};
-
 use crate::sweep::GridCell;
 
 /// What the designer optimises for. The paper concludes: performance
 /// priority → 1000 Mbps threshold with an 80 k window; power priority →
 /// 1400 Mbps with a 40 k window (for `ipfwdr`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DesignPriority {
     /// Maximise the 80th-percentile throughput; break ties on lower power.
     Performance,

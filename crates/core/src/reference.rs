@@ -1,10 +1,8 @@
 //! Static reference data from the paper (its Fig. 1).
 
-use serde::{Deserialize, Serialize};
-
 /// One row of the paper's Fig. 1: power and performance of the Intel IXP
 /// network-processor family.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IxpFamilyEntry {
     /// Product name.
     pub name: &'static str,

@@ -21,7 +21,6 @@
 
 use dvs::{PolicyKind, TdvsConfig};
 use nepsim::{Benchmark, PolicySpec};
-use serde::{Deserialize, Serialize};
 use stats::{ReplicatedMetrics, Replication, RunMetrics};
 use traffic::TrafficSpec;
 use xrun::{JobError, Runner};
@@ -33,7 +32,7 @@ use crate::sweep::{tdvs_experiments, TdvsGrid};
 
 /// One replicated cell: the base experiment (whose seed names the
 /// replicate family) and the per-metric summaries over its k runs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplicatedResult {
     /// The base experiment; replicate `i` ran it with
     /// `derive_seed(experiment.seed, i)`.
@@ -135,7 +134,7 @@ pub fn replicated_run(experiment: &Experiment, seeds: u64) -> ReplicatedResult {
 }
 
 /// One replicated cell of a TDVS threshold × window sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplicatedGridCell {
     /// The top threshold of this cell, Mbps.
     pub threshold_mbps: f64,
@@ -198,7 +197,7 @@ pub fn replicated_sweep_tdvs(
 }
 
 /// One replicated cell of a policy-spec sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplicatedSpecCell {
     /// The spec this cell ran.
     pub spec: PolicySpec,
@@ -241,7 +240,7 @@ pub fn try_replicated_sweep_specs(
 }
 
 /// One replicated cell of a traffic-model sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplicatedTrafficCell {
     /// The traffic spec this cell ran.
     pub spec: TrafficSpec,
@@ -284,7 +283,7 @@ pub fn try_replicated_sweep_traffics(
 }
 
 /// One replicated ablation point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplicatedAblationCell {
     /// The value of the varied parameter.
     pub parameter: f64,
@@ -347,7 +346,7 @@ fn collect_replicated_ablation(
 }
 
 /// One row of the replicated comparison grid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplicatedComparisonRow {
     /// Benchmark application.
     pub benchmark: Benchmark,
@@ -362,7 +361,7 @@ pub struct ReplicatedComparisonRow {
 /// The replicated policy comparison: the Fig. 11 grid with every cell
 /// run over k seeds, so savings become interval estimates instead of
 /// single-seed point estimates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplicatedComparison {
     /// All completed rows, benchmark-major like
     /// [`crate::compare::PolicyComparison`].

@@ -5,14 +5,13 @@
 
 use dvs::TdvsConfig;
 use nepsim::{Benchmark, PolicySpec};
-use serde::{Deserialize, Serialize};
 use traffic::TrafficSpec;
 use xrun::{JobError, Runner};
 
 use crate::experiment::{expect_cells, run_experiments, Experiment, ExperimentResult};
 
 /// The grid of TDVS parameters to explore.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TdvsGrid {
     /// Top traffic thresholds (Mbps) — the paper compares 800, 1000,
     /// 1200 and 1400 for `ipfwdr`.
@@ -47,7 +46,7 @@ impl TdvsGrid {
 }
 
 /// One evaluated cell of a TDVS sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GridCell {
     /// The top threshold of this cell, Mbps.
     pub threshold_mbps: f64,
@@ -156,7 +155,7 @@ pub(crate) fn tdvs_experiments(
 }
 
 /// One evaluated cell of a policy-spec sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpecCell {
     /// The spec this cell ran (its [`PolicySpec::spec_string`] labels the
     /// sweep-table row).
@@ -237,7 +236,7 @@ pub fn try_sweep_specs(
 }
 
 /// One evaluated cell of a traffic-model sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrafficCell {
     /// The traffic spec this cell ran (its
     /// [`TrafficSpec::spec_string`] labels the sweep-table row).

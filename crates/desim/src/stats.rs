@@ -3,8 +3,6 @@
 //! Everything here is single-pass and allocation-light so it can run inside
 //! the simulation hot loop.
 
-use serde::{Deserialize, Serialize};
-
 use crate::SimTime;
 
 /// Online mean/variance/min/max accumulator (Welford's algorithm).
@@ -21,7 +19,7 @@ use crate::SimTime;
 /// assert!((s.mean() - 2.5).abs() < 1e-12);
 /// assert!((s.variance() - 5.0 / 3.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -135,7 +133,7 @@ impl OnlineStats {
 /// assert_eq!(h.underflow(), 1);
 /// assert_eq!(h.overflow(), 1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -257,7 +255,7 @@ impl Histogram {
 /// tw.update(SimTime::from_us(20), 0.0); // value was 1.0 for 10us
 /// assert!((tw.average(SimTime::from_us(20)) - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimeWeighted {
     last_time: SimTime,
     value: f64,
@@ -325,7 +323,7 @@ impl TimeWeighted {
 /// let est = q.estimate().expect("has samples");
 /// assert!((est - 800.0).abs() < 20.0, "estimate {est}");
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct P2Quantile {
     p: f64,
     /// Marker heights (the 5 running estimates).
@@ -456,7 +454,7 @@ impl P2Quantile {
 }
 
 /// A monotonically increasing named counter.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Counter {
     value: u64,
 }

@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in (or span of) simulated time, stored as integer picoseconds.
 ///
 /// Integer picoseconds give exact arithmetic for every clock in the modelled
@@ -22,9 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_ps(), 10_500_000);
 /// assert!((t.as_us() - 10.5).abs() < 1e-12);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -195,7 +191,7 @@ impl fmt::Display for SimTime {
 /// assert_eq!(f.cycles_to_time(6000), SimTime::from_us(10));
 /// assert_eq!(f.time_to_cycles(SimTime::from_us(10)), 6000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Frequency(u64);
 
 impl Frequency {

@@ -14,12 +14,10 @@
 //!   threshold *or* idle below the threshold;
 //! * hold otherwise.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{EdvsConfig, ScalingDecision, TdvsConfig, VfLadder, VfPoint};
 
 /// Configuration of the combined policy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CombinedConfig {
     /// Traffic half of the rule (threshold scaling follows Fig. 5).
     pub tdvs: TdvsConfig,

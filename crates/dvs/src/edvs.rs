@@ -1,11 +1,9 @@
 //! Execution-based dynamic voltage scaling (paper §4.2).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ScalingDecision, VfLadder, VfPoint};
 
 /// Tunable parameters of an EDVS policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdvsConfig {
     /// Idle-time threshold as a fraction of the observed window. The paper
     /// picks 10 % after observing the bimodal idle distribution of the

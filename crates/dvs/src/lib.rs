@@ -85,7 +85,6 @@ pub use tdvs::{HysteresisTdvsConfig, Tdvs, TdvsConfig};
 pub use vf::{VfLadder, VfPoint};
 
 use desim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Wall-clock stall paid by an affected microengine on every VF switch
 /// (paper §4.1: 10 µs, i.e. 6000 cycles at the normal 600 MHz frequency).
@@ -98,7 +97,7 @@ pub const SWITCH_PENALTY: SimTime = SimTime::from_us(10);
 pub const MONITOR_ADDER_ENERGY_UJ: f64 = 8.0e-6;
 
 /// What a DVS policy asks the platform to do at a window boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScalingDecision {
     /// Step one VF level up (higher frequency/voltage).
     Up,
@@ -111,7 +110,7 @@ pub enum ScalingDecision {
 
 /// Identifies which policy family an experiment runs — the label used by
 /// reports, comparison tables and figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// No DVS: the processor stays at the top VF level.
     NoDvs,

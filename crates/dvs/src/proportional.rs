@@ -17,12 +17,10 @@
 //! constraint), but the *setpoint* it chases is continuous, so sustained
 //! small errors integrate into a move while transient spikes do not.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{DvsPolicy, PolicyKind, PolicyObservation, PolicyResponse, ScalingDecision, VfLadder};
 
 /// Tunable parameters of the proportional (PI) policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProportionalConfig {
     /// The idle fraction the controller drives each ME toward (the
     /// paper's EDVS threshold doubles as a natural setpoint).

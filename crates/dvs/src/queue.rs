@@ -15,12 +15,10 @@
 //! per-packet adder, so [`DvsPolicy::monitors_traffic`] stays `false` and
 //! no monitor energy is charged.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{DvsPolicy, PolicyKind, PolicyObservation, PolicyResponse, ScalingDecision, VfLadder};
 
 /// Tunable parameters of the queue-aware policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueAwareConfig {
     /// Receive-FIFO fill fraction above which the chip steps up.
     pub high_occupancy: f64,

@@ -29,7 +29,6 @@ use std::fmt;
 use std::str::FromStr;
 
 pub use kvspec::{Params, SpecError};
-use serde::{Deserialize, Serialize};
 
 use crate::adapters::{CombinedPolicy, EdvsPolicy, NoDvsPolicy, TdvsPolicy};
 use crate::registry::PolicyRegistry;
@@ -43,13 +42,8 @@ use crate::{
 /// The **canonical wire formats are the grammars above** (spec string,
 /// flat TOML, flat JSON), implemented by hand in this module — they use
 /// the registry's short parameter keys (`threshold`, `idle`, ...), and
-/// [`PolicySpec::spec_string`] round-trips through them. The serde
-/// derive below is tagged to mirror that shape, but under the offline
-/// `serde` shim it generates nothing; if real serde is ever wired in,
-/// its field naming (struct field names, nested configs) would *not*
-/// match these grammars — keep the hand parsers as the format of record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "policy", rename_all = "kebab-case")]
+/// [`PolicySpec::spec_string`] round-trips through them.
+#[derive(Debug, Clone, PartialEq)]
 pub enum PolicySpec {
     /// Baseline: all MEs pinned at the top VF level.
     NoDvs,

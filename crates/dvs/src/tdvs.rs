@@ -1,12 +1,10 @@
 //! Traffic-based dynamic voltage scaling (paper §4.1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ScalingDecision, VfLadder, VfPoint};
 
 /// Tunable parameters of a TDVS policy: the two axes explored in the
 /// paper's Figures 6–9.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TdvsConfig {
     /// The traffic threshold (Mbps) that applies at the *top* VF level.
     /// Thresholds at lower levels are scaled with frequency (Fig. 5):
@@ -41,7 +39,7 @@ impl Default for TdvsConfig {
 }
 
 /// A [`TdvsConfig`] plus a hysteresis band.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HysteresisTdvsConfig {
     /// The underlying threshold/window configuration.
     pub base: TdvsConfig,

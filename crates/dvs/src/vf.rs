@@ -1,10 +1,9 @@
 //! Voltage/frequency ladder.
 
 use desim::Frequency;
-use serde::{Deserialize, Serialize};
 
 /// One voltage/frequency operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VfPoint {
     /// Core frequency in MHz.
     pub freq_mhz: u32,
@@ -61,7 +60,7 @@ impl std::fmt::Display for VfPoint {
 /// assert_eq!(ladder.top().freq_mhz, 600);
 /// assert_eq!(ladder.bottom().freq_mhz, 400);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VfLadder {
     points: Vec<VfPoint>,
 }

@@ -2,7 +2,6 @@
 
 use dvs::PolicySpec;
 use nepsim::Benchmark;
-use serde::{Deserialize, Serialize};
 use traffic::{TrafficLevel, TrafficSpec};
 
 use crate::{DispatchSpec, FleetPolicySpec};
@@ -11,7 +10,7 @@ use crate::{DispatchSpec, FleetPolicySpec};
 /// shared per-chip platform knobs, the aggregate traffic stream, the
 /// dispatcher that shards it, the per-chip DVS policy and the global
 /// fleet policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Number of chips behind the load balancer.
     pub chips: usize,

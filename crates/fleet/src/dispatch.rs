@@ -30,7 +30,6 @@ use std::str::FromStr;
 use desim::rng::{derive_seed, derive_stream};
 use kvspec::{ParamInfo, Params, SpecError};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Pareto tail index of the synthetic flow-weight distribution. Between
@@ -155,8 +154,7 @@ impl Dispatcher for LeastLoaded {
 /// the CLI grammar (`hash:flows=512`), flat TOML (`dispatch = "hash"`)
 /// and flat JSON (`{"dispatch": "hash", "flows": 512}`), all resolved
 /// through the [`DispatchRegistry`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(tag = "dispatch", rename_all = "kebab-case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchSpec {
     /// Packet spraying: exactly `1/N` per chip.
     RoundRobin,

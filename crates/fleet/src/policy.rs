@@ -28,7 +28,6 @@ use std::sync::OnceLock;
 
 use kvspec::{ParamInfo, Params, SpecError};
 use nepsim::NpuConfig;
-use serde::{Deserialize, Serialize};
 
 /// Offered-load telemetry a fleet policy plans from: bits arriving at
 /// each chip in each epoch, as a load balancer's byte counters would
@@ -209,8 +208,7 @@ pub fn cap_level(cap_w: f64, config: &NpuConfig) -> usize {
 /// (`fleet_policy = "static-cap"`) and flat JSON
 /// (`{"fleet_policy": "cap-realloc", "budget": 6}`), resolved through
 /// the [`FleetPolicyRegistry`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "fleet_policy", rename_all = "kebab-case")]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FleetPolicySpec {
     /// No fleet-level power management.
     PassThrough,

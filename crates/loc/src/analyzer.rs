@@ -1,15 +1,13 @@
 //! Automatically generated distribution analyzers — the paper's extension
 //! of LOC with the `dist==`, `dist<=`, `dist>=` operators.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ast::{DistRel, Expr, Formula};
 use crate::error::EvalError;
 use crate::eval::{eval_expr, EventWindow};
 use crate::trace::{Trace, TraceRecord};
 
 /// One bin of a distribution report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinStat {
     /// Lower edge of the bin (`-inf` for the underflow bin).
     pub lo: f64,
@@ -28,7 +26,7 @@ pub struct BinStat {
 /// (max,+inf)`. For `dist<=`/`dist>=`, [`DistributionReport::cumulative`]
 /// returns the fraction of instances at-or-below / at-or-above each edge —
 /// exactly the curves plotted in the paper's Figures 6, 7 and 10.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistributionReport {
     rel: DistRel,
     min: f64,

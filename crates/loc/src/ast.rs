@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The annotation carried by every trace event that a formula may read.
 ///
 /// The first five are the standard NePSim annotations (paper Fig. 3);
 /// [`AnnotKey::Custom`] reads from a record's extra annotations by name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AnnotKey {
     /// Core clock cycles elapsed from the beginning of simulation.
     Cycle,
@@ -60,7 +58,7 @@ impl fmt::Display for AnnotKey {
 }
 
 /// Binary arithmetic operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Addition.
     Add,
@@ -85,7 +83,7 @@ impl fmt::Display for BinOp {
 }
 
 /// Comparison operators usable in checker formulas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `<=`
     Le,
@@ -130,7 +128,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// An arithmetic expression over event annotations and constants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// A numeric literal.
     Const(f64),
@@ -202,7 +200,7 @@ impl fmt::Display for Expr {
 }
 
 /// A boolean constraint over expressions — the body of a checker formula.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BoolExpr {
     /// A comparison between two arithmetic expressions.
     Cmp {
@@ -251,7 +249,7 @@ impl fmt::Display for BoolExpr {
 
 /// The distribution relation of an analysis formula (the paper's three new
 /// operators).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DistRel {
     /// `dist==`: bin into `(-inf,min], (min,min+step], …, (max,+inf)`.
     Eq,
@@ -273,7 +271,7 @@ impl fmt::Display for DistRel {
 
 /// A complete LOC formula: either an assertion to check on every instance,
 /// or a distribution analysis of a quantity over a period `(min, max, step)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Formula {
     /// An assertion that must hold for all values of `i`.
     Assert(BoolExpr),

@@ -1,21 +1,19 @@
 //! Automatically generated trace checkers for assertion formulas.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ast::Formula;
 use crate::error::EvalError;
 use crate::eval::{eval_bool, EventWindow};
 use crate::trace::{Trace, TraceRecord};
 
 /// A single assertion violation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
     /// The value of the index variable `i` at which the assertion failed.
     pub index: i64,
 }
 
 /// Result of running a [`Checker`] over a trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckReport {
     /// Number of formula instances evaluated.
     pub instances: u64,

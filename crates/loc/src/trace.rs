@@ -2,12 +2,10 @@
 
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ast::AnnotKey;
 
 /// The annotations attached to a single trace event (paper Fig. 3).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Annotations {
     /// Core clock cycles elapsed from the beginning of simulation.
     pub cycle: u64,
@@ -57,7 +55,7 @@ impl Annotations {
 }
 
 /// One line of a simulation trace: an event name plus its annotations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecord {
     /// Event name, e.g. `forward`, `fifo`, `m2_pipeline`.
     pub event: String,
@@ -87,7 +85,7 @@ impl TraceRecord {
 /// assert_eq!(trace.len(), 1);
 /// assert_eq!(trace.count_of("forward"), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     records: Vec<TraceRecord>,
 }

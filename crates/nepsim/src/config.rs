@@ -10,7 +10,6 @@
 
 use desim::Frequency;
 use dvs::{PolicySpec, VfLadder};
-use serde::{Deserialize, Serialize};
 use traffic::{ArrivalConfig, TrafficLevel, TrafficSpec};
 
 use crate::memory::MemoryParams;
@@ -23,7 +22,7 @@ use crate::workload::Benchmark;
 /// The defaults are calibrated so the modelled chip dissipates ≈1.4–1.5 W
 /// under full load with no DVS, matching the region the paper's Figures
 /// 6–11 span (0.5–2.25 W analysis period).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerParams {
     /// Dynamic power of one fully active ME at the top VF level, in watts.
     pub me_active_w: f64,
@@ -46,7 +45,7 @@ impl Default for PowerParams {
 /// Trace-emission options. `forward` events are always emitted (the LOC
 /// formulas need them); `fifo` and the very chatty per-instruction-bundle
 /// `pipeline` events are optional.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Emit a `fifo` event whenever a packet enters the processing queue.
     pub emit_fifo: bool,
@@ -55,7 +54,7 @@ pub struct TraceConfig {
 }
 
 /// Full configuration of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NpuConfig {
     /// The benchmark application loaded on the processing MEs (§3.1).
     pub benchmark: Benchmark,

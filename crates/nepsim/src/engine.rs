@@ -2,14 +2,13 @@
 
 use desim::SimTime;
 use dvs::{VfLadder, VfPoint};
-use serde::{Deserialize, Serialize};
 use traffic::Packet;
 
 use crate::config::PowerParams;
 use crate::workload::Segment;
 
 /// Whether a microengine receives/processes packets or transmits them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MeRole {
     /// Receive + process (runs the benchmark's rx program).
     Rx,
@@ -18,7 +17,7 @@ pub enum MeRole {
 }
 
 /// What a microengine is doing over an interval of simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MeMode {
     /// Executing instructions (full active power).
     Busy,
@@ -87,7 +86,7 @@ impl Thread {
 }
 
 /// Per-mode accumulated wall time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ModeAcc {
     durations: [SimTime; 4],
 }

@@ -10,10 +10,9 @@
 //! under contention.
 
 use desim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Timing and energy of the two memories.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryParams {
     /// SRAM pipeline latency.
     pub sram_latency: SimTime,

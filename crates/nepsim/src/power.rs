@@ -1,7 +1,6 @@
 //! Chip-level energy metering.
 
 use desim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Aggregates energy by component, in microjoules.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// `engine`); this meter collects the remaining components and produces
 /// chip totals on demand, so the trace's cumulative `energy` annotation is
 /// consistent at any instant.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyMeter {
     /// Energy of the DVS monitor hardware (TDVS's 32-bit adder), µJ.
     pub monitor_uj: f64,

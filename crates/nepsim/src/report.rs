@@ -3,13 +3,12 @@
 use desim::SimTime;
 use dvs::PolicyKind;
 use obs::KernelCounters;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::{MeMode, MeRole, ModeAcc};
 
 /// One per-ME idle-fraction sample taken at a monitor-window boundary —
 /// the measurements behind the paper's §4.2 bimodality observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowIdleSample {
     /// Window ordinal (0-based).
     pub window: u64,
@@ -23,7 +22,7 @@ pub struct WindowIdleSample {
 }
 
 /// Per-microengine summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeReport {
     /// Role of this ME.
     pub role: MeRole,
@@ -69,7 +68,7 @@ impl MeReport {
 }
 
 /// The summary of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Which DVS policy ran.
     pub policy: PolicyKind,

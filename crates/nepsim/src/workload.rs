@@ -19,10 +19,8 @@
 //! at 600 MHz and slightly below it at 400 MHz — the regime in which the
 //! TDVS threshold/window trade-offs of Figures 6–9 are visible.
 
-use serde::{Deserialize, Serialize};
-
 /// One step of a packet-processing program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Segment {
     /// Execute `n` instructions (one per ME cycle).
     Compute(u32),
@@ -50,7 +48,7 @@ fn push_sdram_txn(p: &mut Vec<Segment>) {
 }
 
 /// The benchmark applications of paper §3.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Benchmark {
     /// IP forwarding (Intel SDK reference application).
     Ipfwdr,

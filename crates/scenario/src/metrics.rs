@@ -4,7 +4,6 @@
 //! ([`SegmentDist`], one [`Summary`] per field).
 
 use nepsim::{MeMode, MeRole, SimReport};
-use serde::{Deserialize, Serialize};
 use stats::Summary;
 
 /// The scalar metrics of one window slice of a simulation — energy,
@@ -12,7 +11,7 @@ use stats::Summary;
 /// two cumulative [`SimReport`] snapshots of the *same* run, so chip
 /// state (FIFO contents, VF levels, policy state) carries across the
 /// boundary exactly as it did in the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmentMetrics {
     /// Slice length, microseconds.
     pub duration_us: f64,
@@ -116,7 +115,7 @@ fn rx_idle_delta(prev: Option<&SimReport>, cur: &SimReport) -> f64 {
 /// per-seed measurements **in replicate order** — the same discipline
 /// that keeps every other fold in the workspace bit-identical across
 /// worker counts.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SegmentDist {
     /// Offered load, Mbps.
     pub offered_mbps: Summary,

@@ -21,13 +21,12 @@
 
 use dvs::PolicySpec;
 use nepsim::Benchmark;
-use serde::{Deserialize, Serialize};
 use traffic::TrafficSpec;
 
 /// A named, fully parameterised time-varying experiment: the workload
 /// (typically a `schedule:` traffic spec), the policy set to compare on
 /// it, and the run parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// The scenario's name (registry key / file `name` entry).
     pub name: String,
@@ -142,7 +141,7 @@ impl Scenario {
 
 /// One window of a scenario run: where it falls in the horizon and the
 /// child spec active during it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlannedSegment {
     /// The child spec string active in the window (`"(silent)"` for the
     /// tail of a schedule that ends before the horizon).

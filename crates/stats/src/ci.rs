@@ -12,14 +12,12 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// Two-sided confidence level of a Student-t interval.
 ///
 /// Only the three levels the paper-table tooling offers are
 /// representable, which is what lets the critical values be an exact
 /// compiled-in table instead of an incomplete-beta evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ConfidenceLevel {
     /// 90 % two-sided (t at the 0.95 quantile).
     P90,
@@ -149,7 +147,7 @@ impl FromStr for ConfidenceLevel {
 
 /// A two-sided Student-t confidence interval on a sample mean:
 /// `mean ± half_width` covers the true mean with probability `level`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// The sample mean at the interval's centre.
     pub mean: f64,

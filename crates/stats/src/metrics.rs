@@ -2,15 +2,13 @@
 //! their replicated fold ([`ReplicatedMetrics`]: one [`Summary`] per
 //! field).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ConfidenceInterval, ConfidenceLevel, Summary};
 
 /// The scalar metrics one simulated cell reports — the same ten
 /// quantities every `--json` document's `"metrics"` object carries, as
 /// plain numbers so the statistics layer needs no knowledge of the
 /// simulator or the trace analyzers that produced them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunMetrics {
     /// Offered load, Mbps.
     pub offered_mbps: f64,
@@ -38,7 +36,7 @@ pub struct RunMetrics {
 /// The replicated fold of a cell: one [`Summary`] per [`RunMetrics`]
 /// field, filled by pushing the per-seed metrics **in replicate order**
 /// (which is what keeps the fold bit-identical for any worker count).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ReplicatedMetrics {
     /// Offered load, Mbps.
     pub offered_mbps: Summary,

@@ -1,7 +1,6 @@
 //! [`Replication`] — fanning one experiment cell out into k
 //! independent, seed-derived replicates.
 
-use serde::{Deserialize, Serialize};
 use xrun::{derive_seed, JobSpec};
 
 use crate::{ReplicatedMetrics, RunMetrics};
@@ -46,7 +45,7 @@ use crate::{ReplicatedMetrics, RunMetrics};
 /// assert!(specs.iter().all(|s| s.cycles == 100_000));
 /// assert_ne!(specs[0].seed, specs[1].seed);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Replication {
     base: JobSpec,
     replicates: u64,

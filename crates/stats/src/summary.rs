@@ -1,8 +1,6 @@
 //! [`Summary`] — streaming moments of a sample, one observation at a
 //! time.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ConfidenceInterval, ConfidenceLevel};
 
 /// Streaming summary statistics of a sample: count, mean, variance
@@ -32,7 +30,7 @@ use crate::{ConfidenceInterval, ConfidenceLevel};
 /// assert_eq!(s.min(), 2.0);
 /// assert_eq!(s.max(), 9.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     n: u64,
     mean: f64,

@@ -14,12 +14,10 @@
 //! table's step-down rows, this over-covers: a difference reported
 //! significant at a level really is at least that significant.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ConfidenceLevel, Summary};
 
 /// The outcome of Welch's t-test between two sample means.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WelchT {
     /// The t statistic `(mean_a - mean_b) / sqrt(se_a² + se_b²)`.
     /// Positive when sample *a*'s mean is larger. Infinite when both

@@ -5,7 +5,6 @@
 use desim::rng::{derive_stream, exp_sample, SimRng};
 use desim::SimTime;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{Packet, PacketSource, SizeMix, TrafficLevel, TrafficModel};
 
@@ -17,7 +16,7 @@ use crate::{Packet, PacketSource, SizeMix, TrafficLevel, TrafficModel};
 /// stream is instantiated ([`PacketStream::new`],
 /// [`TrafficModel::stream`]), so one description can fan out into many
 /// independent replications.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalConfig {
     /// Long-run mean aggregate rate across all ports, in Mbps.
     pub mean_rate_mbps: f64,

@@ -4,12 +4,10 @@
 //! seed is ignored. Useful for pinning down simulator capacity (offered
 //! load is exact) and as the degenerate case conformance tests lean on.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{PacketSource, TrafficModel};
 
 /// Configuration of the `constant` traffic model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConstantConfig {
     /// Aggregate arrival rate, Mbps.
     pub rate_mbps: f64,

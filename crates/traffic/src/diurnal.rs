@@ -2,13 +2,12 @@
 
 use desim::rng::derive_stream;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{ArrivalConfig, PacketSource, TrafficLevel, TrafficModel};
 
 /// One sample of the diurnal profile: the max/median/min envelope of the
 /// arrival rate at a time of day — the three curves of paper Fig. 2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiurnalSample {
     /// Seconds since midnight.
     pub time_of_day_s: f64,
@@ -129,7 +128,7 @@ impl DiurnalModel {
 /// seed), so the *offered rate* of a spec is a fixed, self-describable
 /// number while each stream seed still gets an independent arrival
 /// process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiurnalConfig {
     /// Time of day to sample, in hours `[0, 24)`.
     pub hour: f64,

@@ -9,12 +9,11 @@
 
 use desim::rng::{derive_stream, exp_sample};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{PacketSource, SizeMix, TrafficModel};
 
 /// Configuration of the `flash` traffic model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlashConfig {
     /// Baseline aggregate rate before and after the spike, Mbps.
     pub base_mbps: f64,

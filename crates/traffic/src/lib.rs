@@ -94,11 +94,9 @@ pub use spec::TrafficSpec;
 pub use stochastic::StochasticConfig;
 pub use thin::Thinned;
 
-use serde::{Deserialize, Serialize};
-
 /// The paper's three traffic-volume sampling periods (§3.2: "We sample a
 /// few seconds of real traffic in high, medium and low arriving rates").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficLevel {
     /// Night-time lull traffic.
     Low,

@@ -10,12 +10,11 @@
 
 use desim::rng::{derive_stream, exp_sample};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{PacketSource, SizeMix, TrafficModel};
 
 /// Configuration of the `burst` traffic model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnOffConfig {
     /// Aggregate arrival rate during the on phase, Mbps.
     pub on_mbps: f64,

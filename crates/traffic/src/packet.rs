@@ -2,10 +2,9 @@
 
 use desim::SimTime;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One IP packet arriving at a device port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// Arrival time at the port.
     pub arrival: SimTime,
@@ -36,7 +35,7 @@ impl Packet {
 /// let mix = SizeMix::imix();
 /// assert!((mix.mean_bytes() - 340.0).abs() < 20.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SizeMix {
     /// `(size_bytes, weight)` pairs; weights need not be normalised.
     entries: Vec<(u32, f64)>,

@@ -19,7 +19,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use desim::SimTime;
 use kvspec::SpecError;
-use serde::{Deserialize, Serialize};
 
 use crate::{Packet, PacketSource, TrafficModel};
 
@@ -38,7 +37,7 @@ use crate::{Packet, PacketSource, TrafficModel};
 /// let back = RecordedTrace::from_text(&trace.to_text()).unwrap();
 /// assert_eq!(back, trace);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecordedTrace {
     packets: Vec<Packet>,
 }
@@ -189,7 +188,7 @@ impl TrafficModel for RecordedTrace {
 /// trace in the [`RecordedTrace::to_text`] format, loaded when the
 /// model is built (not when the spec is parsed, so specs stay pure
 /// data), plus an offered-rate scale factor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplayConfig {
     /// Filesystem path of the trace file.
     pub path: String,

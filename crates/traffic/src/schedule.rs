@@ -24,7 +24,6 @@
 use desim::rng::derive_seed;
 use desim::{Frequency, SimTime};
 use kvspec::{PVal, SpecError};
-use serde::{Deserialize, Serialize};
 
 use crate::registry::TrafficRegistry;
 use crate::{Packet, PacketSource, TrafficModel, TrafficSpec};
@@ -41,7 +40,7 @@ fn base_clock() -> Frequency {
 
 /// One window of a schedule: a child traffic spec active over
 /// `[start_cycles, end_cycles)` of the 600 MHz base clock.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleSegment {
     /// The child model active during this window.
     pub spec: TrafficSpec,
@@ -142,7 +141,7 @@ fn parse_cycles(text: &str) -> Result<u64, SpecError> {
 
 /// Configuration of the `schedule` traffic model: the validated segment
 /// list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleConfig {
     /// The windows, in schedule order (contiguous, starting at cycle 0).
     pub segments: Vec<ScheduleSegment>,

@@ -29,7 +29,6 @@ use std::fmt;
 use std::str::FromStr;
 
 use kvspec::{PVal, SpecError};
-use serde::{Deserialize, Serialize};
 
 use crate::registry::TrafficRegistry;
 use crate::{
@@ -40,11 +39,8 @@ use crate::{
 /// A fully parameterised, buildable traffic-model description.
 ///
 /// The canonical wire formats are the three flat grammars above; the
-/// serde derive is tagged to mirror them but generates nothing under
-/// the offline `serde` shim — the hand renderers in this module are the
-/// format of record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "traffic", rename_all = "kebab-case")]
+/// hand renderers in this module are the format of record.
+#[derive(Debug, Clone, PartialEq)]
 pub enum TrafficSpec {
     /// One of the paper's three sampling periods (§3.2) — shorthand for
     /// the canonical MMPP configuration of that level.

@@ -13,8 +13,6 @@
 //! never perturbs another and the model stays seed-deterministic like
 //! every other member of the registry.
 
-use serde::{Deserialize, Serialize};
-
 use desim::rng::{derive_seed, root_rng};
 use desim::SimTime;
 use dist::DistSpec;
@@ -23,7 +21,7 @@ use rand::Rng;
 use crate::{Packet, PacketSource, TrafficModel};
 
 /// Configuration of the `stochastic` traffic model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StochasticConfig {
     /// Inter-arrival gap distribution, microseconds.
     pub gap: DistSpec,

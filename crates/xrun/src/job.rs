@@ -5,7 +5,6 @@ use std::fmt;
 use std::time::Duration;
 
 use nepsim::{Benchmark, NpuConfig, PolicySpec, SimReport, Simulator};
-use serde::{Deserialize, Serialize};
 use traffic::TrafficSpec;
 
 /// The full description of one simulation cell: everything a worker
@@ -13,7 +12,7 @@ use traffic::TrafficSpec;
 ///
 /// A batch of `JobSpec`s is the unit the paper's grids decompose into —
 /// one spec per sweep cell, comparison row or ablation point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Benchmark application (§3.1).
     pub benchmark: Benchmark,
@@ -138,7 +137,7 @@ impl<T> fmt::Debug for Job<'_, T> {
 /// The runner never lets one cell kill a batch; the panic is downcast
 /// to its message (when it is a string, as `panic!`/`assert!` payloads
 /// are) and reported alongside the job's name and batch index.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobError {
     /// Name of the failed job.
     pub job: String,
