@@ -2,10 +2,12 @@
 //! 20k-window throughput cliff to VF oscillation burning 6000-cycle
 //! penalties; this quantifies how much a dead band recovers.
 
-use abdex::ablation::{render_ablation, sweep_tdvs_hysteresis};
+use abdex::ablation::{render_ablation, tdvs_hysteresis_policies};
 use abdex::dvs::TdvsConfig;
+use abdex::experiment::expect_cells;
 use abdex::nepsim::Benchmark;
 use abdex::traffic::TrafficLevel;
+use abdex::{run_experiments, Runner, SweepAxis};
 use abdex_bench::{cycles_from_args, FIG_SEED};
 
 fn main() {
@@ -19,16 +21,16 @@ fn main() {
         "abl_tdvs_hysteresis: {} bands on ipfwdr/high, 20k windows, {cycles} cycles each...",
         bands.len()
     );
-    let cells = sweep_tdvs_hysteresis(
-        Benchmark::Ipfwdr,
-        &TrafficLevel::High.into(),
-        base,
-        &bands,
-        cycles,
-        FIG_SEED,
-    );
+    let axis = SweepAxis::Policies {
+        traffic: TrafficLevel::High.into(),
+        policies: tdvs_hysteresis_policies(base, &bands),
+    };
+    let results = expect_cells(run_experiments(
+        &Runner::new(),
+        axis.experiments(Benchmark::Ipfwdr, cycles, FIG_SEED),
+    ));
     println!("TDVS hysteresis ablation (ipfwdr, high traffic, 20k windows):\n");
-    println!("{}", render_ablation(&cells, "hysteresis"));
+    println!("{}", render_ablation(&results, "hysteresis"));
     println!(
         "band 0.0 is the paper's rule; larger bands trade responsiveness \
          for fewer 10us switch penalties."

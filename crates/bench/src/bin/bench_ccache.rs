@@ -20,9 +20,8 @@
 use std::time::Instant;
 
 use abdex::nepsim::Benchmark;
-use abdex::replicate::try_replicated_sweep_tdvs;
 use abdex::traffic::TrafficLevel;
-use abdex::{Runner, TdvsGrid};
+use abdex::{run_replicated_experiments, Runner, SweepAxis, TdvsGrid};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -49,16 +48,16 @@ fn main() {
         runner.workers(),
         dir.display()
     );
+    let axis = SweepAxis::Tdvs {
+        traffic: TrafficLevel::High.into(),
+        grid: grid.clone(),
+    };
 
     let pass = || {
         let start = Instant::now();
-        let cells = try_replicated_sweep_tdvs(
+        let cells = run_replicated_experiments(
             &runner,
-            Benchmark::Ipfwdr,
-            &TrafficLevel::High.into(),
-            &grid,
-            cycles,
-            42,
+            axis.experiments(Benchmark::Ipfwdr, cycles, 42),
             seeds,
         );
         for cell in &cells {

@@ -17,11 +17,12 @@
 
 use std::time::Instant;
 
+use abdex::experiment::expect_cells;
 use abdex::nepsim::Benchmark;
-use abdex::replicate::try_replicated_sweep_tdvs;
 use abdex::stats::ConfidenceLevel;
+use abdex::sweep::tdvs_coordinates;
 use abdex::traffic::TrafficLevel;
-use abdex::{Runner, TdvsGrid};
+use abdex::{run_replicated_experiments, Runner, SweepAxis, TdvsGrid};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -35,36 +36,33 @@ fn main() {
         thresholds_mbps: vec![1000.0, 1400.0],
         windows_cycles: vec![20_000, 40_000],
     };
+    let cell_count = grid.len();
+    let axis = SweepAxis::Tdvs {
+        traffic: TrafficLevel::High.into(),
+        grid,
+    };
     let runner = Runner::new();
     let level = ConfidenceLevel::P95;
 
     eprintln!(
         "bench_replicate: {} cells x {seeds} seeds x {cycles} cycles on {} workers",
-        grid.len(),
+        cell_count,
         runner.workers()
     );
 
     let start = Instant::now();
-    let cells: Vec<_> = try_replicated_sweep_tdvs(
+    let cells = expect_cells(run_replicated_experiments(
         &runner,
-        Benchmark::Ipfwdr,
-        &TrafficLevel::High.into(),
-        &grid,
-        cycles,
-        42,
+        axis.experiments(Benchmark::Ipfwdr, cycles, 42),
         seeds,
-    )
-    .into_iter()
-    .map(|o| o.expect("no cell failed"))
-    .collect();
+    ));
     let wall_s = start.elapsed().as_secs_f64();
 
     // The noisiest interval anywhere in the grid, by relative width.
     let (cell, metric, ci) = cells
         .iter()
         .filter_map(|c| {
-            c.result
-                .metrics
+            c.metrics
                 .widest_relative_ci(level)
                 .map(|(metric, ci)| (c, metric, ci))
         })
@@ -74,6 +72,7 @@ fn main() {
                 .expect("relative widths are finite")
         })
         .expect("grid is non-empty");
+    let (threshold, window) = tdvs_coordinates(&cell.experiment);
 
     let doc = format!(
         "{{\"bench\":\"replicate\",\"cells\":{},\"seeds\":{seeds},\"cycles_per_job\":{cycles},\
@@ -86,8 +85,8 @@ fn main() {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         runner.workers(),
         level.percent(),
-        cell.threshold_mbps,
-        cell.window_cycles,
+        threshold,
+        window,
         ci.mean,
         ci.half_width,
         ci.relative_half_width(),
@@ -97,8 +96,8 @@ fn main() {
         "{} jobs in {wall_s:.2}s; widest {level} CI: {metric} at threshold={} window={} \
          ({ci:.4}, relative {:.3}) -> {out}",
         cells.len() as u64 * seeds,
-        cell.threshold_mbps,
-        cell.window_cycles,
+        threshold,
+        window,
         ci.relative_half_width(),
     );
 }

@@ -97,8 +97,7 @@ use abdex::experiment::partition_cells;
 use abdex::fleet::{run_fleet, DispatchRegistry, FleetConfig, FleetPolicyRegistry};
 use abdex::json::{
     comparison_json, experiment_json, replicated_compare_json, replicated_run_json,
-    replicated_spec_sweep_json, replicated_tdvs_sweep_json, replicated_traffic_sweep_json,
-    spec_sweep_json, tdvs_sweep_json, traffic_sweep_json,
+    replicated_sweep_json, sweep_json, tdvs_sweep_json,
 };
 use abdex::json::{fleet_json, scenario_json, trace_analysis_json};
 use abdex::nepsim::{Benchmark, NpuConfig, Simulator, TraceConfig};
@@ -106,23 +105,20 @@ use abdex::record::{
     fleet_record_series, record_jsonl, render_obs_stats, scenario_record_series,
     try_replicated_run_recorded, RecordedSeries,
 };
-use abdex::replicate::{
-    try_replicated_compare, try_replicated_run, try_replicated_sweep_specs,
-    try_replicated_sweep_tdvs, try_replicated_sweep_traffics,
-};
+use abdex::replicate::{run_replicated_experiments, try_replicated_compare, try_replicated_run};
 use abdex::scenario::{self, Scenario};
-use abdex::sweep::{try_sweep_specs, try_sweep_tdvs, try_sweep_traffics};
+use abdex::sweep::{power_surface, throughput_surface};
 use abdex::tables::{
-    render_comparison, render_fleet, render_replicated_comparison, render_replicated_run,
-    render_replicated_spec_sweep, render_replicated_sweep, render_replicated_traffic_sweep,
-    render_scenario, render_spec_sweep, render_surface, render_sweep, render_trace_analysis,
-    render_traffic_sweep,
+    render_axis_sweep, render_comparison, render_fleet, render_replicated_comparison,
+    render_replicated_run, render_replicated_sweep, render_scenario, render_surface, render_sweep,
+    render_trace_analysis,
 };
 use abdex::traceio::{analyze_trace, generate_trace};
 use abdex::traffic::RecordedTrace;
 use abdex::{
-    optimal_tdvs, ConfidenceLevel, DesignPriority, Experiment, JobError, PolicyRegistry,
-    PolicySpec, ProgressMode, Runner, TdvsGrid, TrafficRegistry, TrafficSpec, PAPER_RUN_CYCLES,
+    optimal_tdvs, run_experiments, ConfidenceLevel, DesignPriority, Experiment, GridCell, JobError,
+    PolicyRegistry, PolicySpec, ProgressMode, Runner, SweepAxis, TdvsGrid, TrafficRegistry,
+    TrafficSpec, PAPER_RUN_CYCLES,
 };
 use loc::{parse, Analyzer, Checker, Trace};
 
@@ -907,92 +903,68 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
     if opts.contains_key("traffic") && traffics.is_some() {
         return Err("--traffic does not apply with --traffics (the list is the axis)".to_owned());
     }
+    // A `--traffics` list sweeps the traffic axis under one policy; a
+    // `--policies` list runs a policy-spec sweep instead of the paper's
+    // TDVS threshold x window grid.
+    let axis = match (traffics, specs) {
+        (Some(traffics), _) => SweepAxis::Traffics {
+            traffics,
+            policy: policy(opts)?,
+        },
+        (None, Some(policies)) => SweepAxis::Policies {
+            traffic: level,
+            policies,
+        },
+        (None, None) => SweepAxis::Tdvs {
+            traffic: level,
+            grid: TdvsGrid::default(),
+        },
+    };
     preflight_json(opts)?;
+    let experiments = axis.experiments(bench, cycles, seed);
     drop(plan);
 
-    // A `--traffics` list sweeps the traffic axis under one policy.
-    if let Some(traffics) = traffics {
-        let policy = policy(opts)?;
-        if seeds > 1 {
-            let (cells, errors) = partition_cells(try_replicated_sweep_traffics(
-                &pool, bench, &traffics, &policy, cycles, seed, seeds,
-            ));
-            emit(opts, &render_replicated_traffic_sweep(&cells, ci));
-            let json = write_json(opts, || {
-                replicated_traffic_sweep_json(&cells, seeds, ci, &errors)
-            });
-            return finish_batch(&pool, json, errors);
-        }
-        let (cells, errors) = partition_cells(try_sweep_traffics(
-            &pool, bench, &traffics, &policy, cycles, seed,
-        ));
-        emit(opts, &render_traffic_sweep(&cells));
-        let json = write_json(opts, || traffic_sweep_json(&cells, &errors));
-        return finish_batch(&pool, json, errors);
-    }
-
-    // A `--policies` list runs a policy-spec sweep instead of the
-    // paper's TDVS threshold x window grid.
-    if let Some(specs) = specs {
-        if seeds > 1 {
-            let (cells, errors) = partition_cells(try_replicated_sweep_specs(
-                &pool, bench, &level, &specs, cycles, seed, seeds,
-            ));
-            emit(opts, &render_replicated_spec_sweep(&cells, ci));
-            let json = write_json(opts, || {
-                replicated_spec_sweep_json(&cells, seeds, ci, &errors)
-            });
-            return finish_batch(&pool, json, errors);
-        }
-        let (cells, errors) =
-            partition_cells(try_sweep_specs(&pool, bench, &level, &specs, cycles, seed));
-        emit(opts, &render_spec_sweep(&cells));
-        let json = write_json(opts, || spec_sweep_json(&cells, &errors));
-        return finish_batch(&pool, json, errors);
-    }
-
     if seeds > 1 {
-        let (cells, errors) = partition_cells(try_replicated_sweep_tdvs(
-            &pool,
-            bench,
-            &level,
-            &TdvsGrid::default(),
-            cycles,
-            seed,
-            seeds,
-        ));
-        emit(opts, &render_replicated_sweep(&cells, ci));
+        let (cells, errors) =
+            partition_cells(run_replicated_experiments(&pool, experiments, seeds));
+        emit(opts, &render_replicated_sweep(&axis, &cells, ci));
         let json = write_json(opts, || {
-            replicated_tdvs_sweep_json(&cells, seeds, ci, &errors)
+            replicated_sweep_json(&axis, &cells, seeds, ci, &errors)
         });
         return finish_batch(&pool, json, errors);
     }
+    let outcomes = run_experiments(&pool, experiments);
+    let fold = abdex::obs::prof::span("fold");
+    let (results, errors) = partition_cells(outcomes);
+    drop(fold);
+    let json = if let SweepAxis::Tdvs { .. } = axis {
+        let cells: Vec<GridCell> = results.into_iter().map(GridCell::from).collect();
+        emit_tdvs_sweep(opts, &cells);
+        write_json(opts, || tdvs_sweep_json(&cells, &errors))
+    } else {
+        emit(opts, &render_axis_sweep(&axis, &results));
+        write_json(opts, || sweep_json(&axis, &results, &errors))
+    };
+    finish_batch(&pool, json, errors)
+}
 
-    let (cells, errors) = partition_cells(try_sweep_tdvs(
-        &pool,
-        bench,
-        &level,
-        &TdvsGrid::default(),
-        cycles,
-        seed,
-    ));
-    emit(opts, &render_sweep(&cells));
+/// The paper's TDVS grid report: the sweep table, its Fig. 8/9
+/// surfaces and the §4.1 optimal cells.
+fn emit_tdvs_sweep(opts: &Opts, cells: &[GridCell]) {
+    emit(opts, &render_sweep(cells));
     emit(
         opts,
-        &render_surface(&abdex::sweep::power_surface(&cells), "p80 power (W)"),
+        &render_surface(&power_surface(cells), "p80 power (W)"),
     );
     emit(
         opts,
-        &render_surface(
-            &abdex::sweep::throughput_surface(&cells),
-            "p80 throughput (Mbps)",
-        ),
+        &render_surface(&throughput_surface(cells), "p80 throughput (Mbps)"),
     );
     for (p, label) in [
         (DesignPriority::Performance, "performance"),
         (DesignPriority::Power, "power"),
     ] {
-        if let Some(best) = optimal_tdvs(&cells, p) {
+        if let Some(best) = optimal_tdvs(cells, p) {
             emit(
                 opts,
                 &format!(
@@ -1002,8 +974,6 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
             );
         }
     }
-    let json = write_json(opts, || tdvs_sweep_json(&cells, &errors));
-    finish_batch(&pool, json, errors)
 }
 
 fn cmd_compare(opts: &Opts) -> Result<(), String> {

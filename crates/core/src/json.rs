@@ -11,12 +11,9 @@ use stats::{welch_t, ConfidenceLevel, Summary};
 use xrun::JobError;
 
 use crate::compare::PolicyComparison;
-use crate::experiment::ExperimentResult;
-use crate::replicate::{
-    ReplicatedComparison, ReplicatedGridCell, ReplicatedResult, ReplicatedSpecCell,
-    ReplicatedTrafficCell,
-};
-use crate::sweep::{GridCell, SpecCell, TrafficCell};
+use crate::experiment::{Experiment, ExperimentResult};
+use crate::replicate::{ReplicatedComparison, ReplicatedResult};
+use crate::sweep::{tdvs_coordinates, GridCell, SweepAxis};
 use crate::traceio::{StreamStats, TraceAnalysis};
 
 /// Version of the hand-rolled `--json` schema. Bump whenever a document's
@@ -281,83 +278,71 @@ pub fn experiment_json(r: &ExperimentResult) -> String {
     .finish()
 }
 
-/// Renders a TDVS threshold × window sweep as a JSON document
-/// (`"kind": "tdvs_sweep"`), one cell object per completed grid point
-/// in sweep order plus one `failures` entry per panicked cell.
+/// The leading key fields of a TDVS-grid cell.
+fn tdvs_keys(threshold_mbps: f64, window_cycles: u64) -> Obj {
+    Obj::new()
+        .num("threshold_mbps", threshold_mbps)
+        .int("window_cycles", window_cycles)
+}
+
+/// The leading key fields of one sweep cell: the coordinate its axis
+/// varies, read back from the cell's experiment (a policy sweep keys by
+/// policy family, a traffic sweep by model name; the exact spec strings
+/// follow in the shared payload).
+fn sweep_keys(axis: &SweepAxis, e: &Experiment) -> Obj {
+    match axis {
+        SweepAxis::Tdvs { .. } => {
+            let (threshold, window) = tdvs_coordinates(e);
+            tdvs_keys(threshold, window)
+        }
+        SweepAxis::Policies { .. } => Obj::new().str("policy_kind", &e.policy.kind().to_string()),
+        SweepAxis::Traffics { .. } => Obj::new().str("traffic_model", e.traffic.name()),
+    }
+}
+
+/// Shared tail of the plain sweep documents: header, cells in sweep
+/// order, failures.
+fn sweep_doc(kind: &str, rendered: &[String], failures: &[JobError]) -> String {
+    failure_fields(
+        Obj::new()
+            .int("schema_version", SCHEMA_VERSION)
+            .int("cache_epoch", ccache::CACHE_EPOCH)
+            .str("kind", kind)
+            .int("cells", rendered.len() as u64)
+            .raw("grid", &array(rendered)),
+        failures,
+    )
+    .finish()
+}
+
+/// Renders a plain sweep as a JSON document, one cell object per
+/// completed cell in sweep order plus one `failures` entry per panicked
+/// cell. The `"kind"` names the axis: `tdvs_sweep`, `spec_sweep` or
+/// `traffic_sweep`. A traffic cell's `"traffic"` field holds the exact
+/// round-trippable spec string, `"traffic_model"` its registry name.
+#[must_use]
+pub fn sweep_json(axis: &SweepAxis, results: &[ExperimentResult], failures: &[JobError]) -> String {
+    let kind = match axis {
+        SweepAxis::Tdvs { .. } => "tdvs_sweep",
+        SweepAxis::Policies { .. } => "spec_sweep",
+        SweepAxis::Traffics { .. } => "traffic_sweep",
+    };
+    let rendered: Vec<String> = results
+        .iter()
+        .map(|r| result_fields(sweep_keys(axis, &r.experiment), r).finish())
+        .collect();
+    sweep_doc(kind, &rendered, failures)
+}
+
+/// Renders TDVS grid cells as the [`sweep_json`] document of a
+/// [`SweepAxis::Tdvs`] (`"kind": "tdvs_sweep"`).
 #[must_use]
 pub fn tdvs_sweep_json(cells: &[GridCell], failures: &[JobError]) -> String {
     let rendered: Vec<String> = cells
         .iter()
-        .map(|c| {
-            result_fields(
-                Obj::new()
-                    .num("threshold_mbps", c.threshold_mbps)
-                    .int("window_cycles", c.window_cycles),
-                &c.result,
-            )
-            .finish()
-        })
+        .map(|c| result_fields(tdvs_keys(c.threshold_mbps, c.window_cycles), &c.result).finish())
         .collect();
-    failure_fields(
-        Obj::new()
-            .int("schema_version", SCHEMA_VERSION)
-            .int("cache_epoch", ccache::CACHE_EPOCH)
-            .str("kind", "tdvs_sweep")
-            .int("cells", rendered.len() as u64)
-            .raw("grid", &array(&rendered)),
-        failures,
-    )
-    .finish()
-}
-
-/// Renders a policy-spec sweep as a JSON document
-/// (`"kind": "spec_sweep"`), one cell per completed spec in list order
-/// plus one `failures` entry per panicked cell.
-#[must_use]
-pub fn spec_sweep_json(cells: &[SpecCell], failures: &[JobError]) -> String {
-    let rendered: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            result_fields(
-                Obj::new().str("policy_kind", &c.spec.kind().to_string()),
-                &c.result,
-            )
-            .finish()
-        })
-        .collect();
-    failure_fields(
-        Obj::new()
-            .int("schema_version", SCHEMA_VERSION)
-            .int("cache_epoch", ccache::CACHE_EPOCH)
-            .str("kind", "spec_sweep")
-            .int("cells", rendered.len() as u64)
-            .raw("grid", &array(&rendered)),
-        failures,
-    )
-    .finish()
-}
-
-/// Renders a traffic-model sweep as a JSON document
-/// (`"kind": "traffic_sweep"`), one cell per completed traffic spec in
-/// list order plus one `failures` entry per panicked cell. The cell's
-/// `"traffic"` field holds the exact round-trippable spec string;
-/// `"traffic_model"` its registry name.
-#[must_use]
-pub fn traffic_sweep_json(cells: &[TrafficCell], failures: &[JobError]) -> String {
-    let rendered: Vec<String> = cells
-        .iter()
-        .map(|c| result_fields(Obj::new().str("traffic_model", c.spec.name()), &c.result).finish())
-        .collect();
-    failure_fields(
-        Obj::new()
-            .int("schema_version", SCHEMA_VERSION)
-            .int("cache_epoch", ccache::CACHE_EPOCH)
-            .str("kind", "traffic_sweep")
-            .int("cells", rendered.len() as u64)
-            .raw("grid", &array(&rendered)),
-        failures,
-    )
-    .finish()
+    sweep_doc("tdvs_sweep", &rendered, failures)
 }
 
 /// Renders the policy comparison as a JSON document
@@ -407,93 +392,30 @@ pub fn replicated_run_json(r: &ReplicatedResult, level: ConfidenceLevel) -> Stri
     .finish()
 }
 
-/// Shared tail of the three replicated-sweep renderers.
-fn replicated_sweep_doc(
-    axis: &str,
+/// Renders a replicated sweep as a JSON document
+/// (`"kind": "replicated_sweep"`, `"axis"`: `tdvs`, `policies` or
+/// `traffics`): the plain sweep's leading key fields, then each cell's
+/// summary metrics at the document's `"ci_level"`.
+#[must_use]
+pub fn replicated_sweep_json(
+    axis: &SweepAxis,
+    results: &[ReplicatedResult],
     seeds: u64,
     level: ConfidenceLevel,
-    rendered: Vec<String>,
     failures: &[JobError],
 ) -> String {
+    let rendered: Vec<String> = results
+        .iter()
+        .map(|r| replicated_fields(sweep_keys(axis, &r.experiment), r, level).finish())
+        .collect();
     failure_fields(
         replicated_header("replicated_sweep", seeds, level)
-            .str("axis", axis)
+            .str("axis", axis.name())
             .int("cells", rendered.len() as u64)
             .raw("grid", &array(&rendered)),
         failures,
     )
     .finish()
-}
-
-/// Renders a replicated TDVS sweep as a JSON document
-/// (`"kind": "replicated_sweep"`, `"axis": "tdvs"`).
-#[must_use]
-pub fn replicated_tdvs_sweep_json(
-    cells: &[ReplicatedGridCell],
-    seeds: u64,
-    level: ConfidenceLevel,
-    failures: &[JobError],
-) -> String {
-    let rendered: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            replicated_fields(
-                Obj::new()
-                    .num("threshold_mbps", c.threshold_mbps)
-                    .int("window_cycles", c.window_cycles),
-                &c.result,
-                level,
-            )
-            .finish()
-        })
-        .collect();
-    replicated_sweep_doc("tdvs", seeds, level, rendered, failures)
-}
-
-/// Renders a replicated policy-spec sweep as a JSON document
-/// (`"kind": "replicated_sweep"`, `"axis": "policies"`).
-#[must_use]
-pub fn replicated_spec_sweep_json(
-    cells: &[ReplicatedSpecCell],
-    seeds: u64,
-    level: ConfidenceLevel,
-    failures: &[JobError],
-) -> String {
-    let rendered: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            replicated_fields(
-                Obj::new().str("policy_kind", &c.spec.kind().to_string()),
-                &c.result,
-                level,
-            )
-            .finish()
-        })
-        .collect();
-    replicated_sweep_doc("policies", seeds, level, rendered, failures)
-}
-
-/// Renders a replicated traffic sweep as a JSON document
-/// (`"kind": "replicated_sweep"`, `"axis": "traffics"`).
-#[must_use]
-pub fn replicated_traffic_sweep_json(
-    cells: &[ReplicatedTrafficCell],
-    seeds: u64,
-    level: ConfidenceLevel,
-    failures: &[JobError],
-) -> String {
-    let rendered: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            replicated_fields(
-                Obj::new().str("traffic_model", c.spec.name()),
-                &c.result,
-                level,
-            )
-            .finish()
-        })
-        .collect();
-    replicated_sweep_doc("traffics", seeds, level, rendered, failures)
 }
 
 /// Renders the replicated policy comparison as a JSON document
@@ -750,10 +672,40 @@ pub fn trace_analysis_json(path: &str, a: &TraceAnalysis) -> String {
 mod tests {
     use super::*;
     use crate::compare::{compare_policies, ComparisonConfig};
-    use crate::sweep::{sweep_specs, sweep_tdvs, sweep_traffics, TdvsGrid};
-    use crate::{Experiment, PolicySpec};
+    use crate::experiment::{expect_cells, run_experiments};
+    use crate::replicate::{
+        run_replicated_experiments, try_replicated_compare, try_replicated_run,
+    };
+    use crate::sweep::{sweep_tdvs, TdvsGrid};
+    use crate::{PolicySpec, Runner};
     use nepsim::Benchmark;
     use traffic::{TrafficLevel, TrafficSpec};
+
+    fn sweep(axis: &SweepAxis) -> Vec<ExperimentResult> {
+        expect_cells(run_experiments(
+            &Runner::new(),
+            axis.experiments(Benchmark::Ipfwdr, 200_000, 1),
+        ))
+    }
+
+    fn replicated_sweep(axis: &SweepAxis) -> Vec<ReplicatedResult> {
+        expect_cells(run_replicated_experiments(
+            &Runner::new(),
+            axis.experiments(Benchmark::Ipfwdr, 150_000, 1),
+            2,
+        ))
+    }
+
+    fn two_seed_compare(traffic: TrafficSpec, benchmark: Benchmark) -> ReplicatedComparison {
+        let cfg = ComparisonConfig {
+            cycles: 150_000,
+            ..ComparisonConfig::default()
+        };
+        let (cmp, errors) =
+            try_replicated_compare(&Runner::new(), &[benchmark], &[traffic], &cfg, 2);
+        assert!(errors.is_empty(), "{errors:?}");
+        cmp
+    }
 
     /// A tiny structural validator: checks quotes/brace/bracket balance
     /// outside string literals — enough to catch malformed output
@@ -852,18 +804,21 @@ mod tests {
         assert!(json.contains("\"failed\":0"));
         assert_eq!(json.matches("\"threshold_mbps\":").count(), 2);
 
-        let specs: Vec<PolicySpec> = ["nodvs", "proportional"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        let cells = sweep_specs(
-            Benchmark::Ipfwdr,
-            &TrafficLevel::Low.into(),
-            &specs,
-            200_000,
-            1,
-        );
-        let json = spec_sweep_json(&cells, &[]);
+        // The same grid through the axis path renders the same bytes.
+        let axis = SweepAxis::Tdvs {
+            traffic: TrafficLevel::Medium.into(),
+            grid,
+        };
+        assert_eq!(sweep_json(&axis, &sweep(&axis), &[]), json);
+
+        let axis = SweepAxis::Policies {
+            traffic: TrafficLevel::Low.into(),
+            policies: ["nodvs", "proportional"]
+                .iter()
+                .map(|s| s.parse().unwrap())
+                .collect(),
+        };
+        let json = sweep_json(&axis, &sweep(&axis), &[]);
         assert_balanced(&json);
         assert!(json.contains("\"kind\":\"spec_sweep\""));
         assert!(json.contains("\"policy_kind\":\"PDVS\""));
@@ -886,12 +841,14 @@ mod tests {
 
     #[test]
     fn traffic_sweep_document_records_the_specs() {
-        let traffics: Vec<TrafficSpec> = ["low", "constant:rate=500,size=576,ports=16"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        let cells = sweep_traffics(Benchmark::Ipfwdr, &traffics, &PolicySpec::NoDvs, 200_000, 1);
-        let json = traffic_sweep_json(&cells, &[]);
+        let axis = SweepAxis::Traffics {
+            traffics: ["low", "constant:rate=500,size=576,ports=16"]
+                .iter()
+                .map(|s| s.parse().unwrap())
+                .collect(),
+            policy: PolicySpec::NoDvs,
+        };
+        let json = sweep_json(&axis, &sweep(&axis), &[]);
         assert_balanced(&json);
         assert!(json.contains("\"kind\":\"traffic_sweep\""), "{json}");
         assert!(json.contains("\"schema_version\":9"), "{json}");
@@ -922,7 +879,8 @@ mod tests {
 
     #[test]
     fn replicated_run_document_has_summary_metrics() {
-        let r = crate::replicate::replicated_run(
+        let r = try_replicated_run(
+            &Runner::new(),
             &Experiment {
                 benchmark: Benchmark::Nat,
                 traffic: TrafficLevel::Low.into(),
@@ -931,7 +889,8 @@ mod tests {
                 seed: 3,
             },
             3,
-        );
+        )
+        .unwrap();
         let json = replicated_run_json(&r, stats::ConfidenceLevel::P95);
         assert_balanced(&json);
         for key in [
@@ -954,21 +913,15 @@ mod tests {
 
     #[test]
     fn replicated_sweep_documents_carry_axis_and_cells() {
-        let runner = crate::Runner::new();
-        let grid = TdvsGrid {
-            thresholds_mbps: vec![1000.0],
-            windows_cycles: vec![20_000, 40_000],
+        let axis = SweepAxis::Tdvs {
+            traffic: TrafficLevel::Medium.into(),
+            grid: TdvsGrid {
+                thresholds_mbps: vec![1000.0],
+                windows_cycles: vec![20_000, 40_000],
+            },
         };
-        let cells = crate::experiment::expect_cells(crate::replicate::try_replicated_sweep_tdvs(
-            &runner,
-            Benchmark::Ipfwdr,
-            &TrafficLevel::Medium.into(),
-            &grid,
-            150_000,
-            1,
-            2,
-        ));
-        let json = replicated_tdvs_sweep_json(&cells, 2, stats::ConfidenceLevel::P90, &[]);
+        let cells = replicated_sweep(&axis);
+        let json = replicated_sweep_json(&axis, &cells, 2, stats::ConfidenceLevel::P90, &[]);
         assert_balanced(&json);
         assert!(json.contains("\"kind\":\"replicated_sweep\""), "{json}");
         assert!(json.contains("\"axis\":\"tdvs\""), "{json}");
@@ -977,39 +930,28 @@ mod tests {
         assert!(json.contains("\"failed\":0"), "{json}");
         assert_eq!(json.matches("\"threshold_mbps\":").count(), 2);
 
-        let traffics: Vec<TrafficSpec> = ["low", "constant:rate=500"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        let cells =
-            crate::experiment::expect_cells(crate::replicate::try_replicated_sweep_traffics(
-                &runner,
-                Benchmark::Ipfwdr,
-                &traffics,
-                &PolicySpec::NoDvs,
-                150_000,
-                1,
-                2,
-            ));
-        let json = replicated_traffic_sweep_json(&cells, 2, stats::ConfidenceLevel::P99, &[]);
+        let axis = SweepAxis::Traffics {
+            traffics: ["low", "constant:rate=500"]
+                .iter()
+                .map(|s| s.parse().unwrap())
+                .collect(),
+            policy: PolicySpec::NoDvs,
+        };
+        let cells = replicated_sweep(&axis);
+        let json = replicated_sweep_json(&axis, &cells, 2, stats::ConfidenceLevel::P99, &[]);
         assert_balanced(&json);
         assert!(json.contains("\"axis\":\"traffics\""), "{json}");
         assert!(json.contains("\"traffic_model\":\"constant\""), "{json}");
 
-        let specs: Vec<PolicySpec> = ["nodvs", "proportional"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        let cells = crate::experiment::expect_cells(crate::replicate::try_replicated_sweep_specs(
-            &runner,
-            Benchmark::Ipfwdr,
-            &TrafficLevel::Low.into(),
-            &specs,
-            150_000,
-            1,
-            2,
-        ));
-        let json = replicated_spec_sweep_json(&cells, 2, stats::ConfidenceLevel::P95, &[]);
+        let axis = SweepAxis::Policies {
+            traffic: TrafficLevel::Low.into(),
+            policies: ["nodvs", "proportional"]
+                .iter()
+                .map(|s| s.parse().unwrap())
+                .collect(),
+        };
+        let cells = replicated_sweep(&axis);
+        let json = replicated_sweep_json(&axis, &cells, 2, stats::ConfidenceLevel::P95, &[]);
         assert_balanced(&json);
         assert!(json.contains("\"axis\":\"policies\""), "{json}");
         assert!(json.contains("\"policy_kind\":\"PDVS\""), "{json}");
@@ -1017,16 +959,7 @@ mod tests {
 
     #[test]
     fn replicated_compare_document_carries_interval_savings() {
-        let cfg = ComparisonConfig {
-            cycles: 150_000,
-            ..ComparisonConfig::default()
-        };
-        let cmp = crate::replicate::replicated_compare(
-            &[Benchmark::Nat],
-            &[TrafficLevel::Low.into()],
-            &cfg,
-            2,
-        );
+        let cmp = two_seed_compare(TrafficLevel::Low.into(), Benchmark::Nat);
         let json = replicated_compare_json(&cmp, stats::ConfidenceLevel::P95, &[]);
         assert_balanced(&json);
         assert!(json.contains("\"kind\":\"replicated_compare\""), "{json}");
@@ -1049,16 +982,7 @@ mod tests {
         // distinct means — an infinite t. JSON cannot carry infinity
         // (it renders null), so the documented contract is that
         // `significant_vs_nodvs` stands alone as the verdict.
-        let cfg = ComparisonConfig {
-            cycles: 150_000,
-            ..ComparisonConfig::default()
-        };
-        let cmp = crate::replicate::replicated_compare(
-            &[Benchmark::Ipfwdr],
-            &["constant:rate=600".parse().unwrap()],
-            &cfg,
-            2,
-        );
+        let cmp = two_seed_compare("constant:rate=600".parse().unwrap(), Benchmark::Ipfwdr);
         let json = replicated_compare_json(&cmp, stats::ConfidenceLevel::P95, &[]);
         assert_balanced(&json);
         // Every non-baseline row whose power genuinely differs reports
@@ -1088,7 +1012,7 @@ mod tests {
             seed: 3,
             seeds: 2,
         };
-        let (run, errors) = scenario::try_run_scenario(&crate::Runner::new(), &scenario);
+        let (run, errors) = scenario::try_run_scenario(&Runner::new(), &scenario);
         assert!(errors.is_empty());
         let json = scenario_json(&run, stats::ConfidenceLevel::P95, &errors);
         assert_balanced(&json);
@@ -1122,7 +1046,7 @@ mod tests {
         config.cycles = 150_000;
         config.dispatch = "least-loaded:flows=64".parse().unwrap();
         config.fleet_policy = "static-cap:budget=4".parse().unwrap();
-        let outcome = fleet::run_fleet(&config, 2, &crate::Runner::new());
+        let outcome = fleet::run_fleet(&config, 2, &Runner::new());
         assert!(outcome.errors.is_empty());
         let json = fleet_json(&outcome, stats::ConfidenceLevel::P95);
         assert_balanced(&json);

@@ -14,7 +14,7 @@
 //!   and ablation executes on,
 //! * [`stats`] — streaming summaries, Student-t confidence intervals,
 //!   Welch's t significance tests and the seed-derived replication
-//!   batches behind every `replicated_*` entry point,
+//!   batches behind [`run_replicated_experiments`],
 //! * [`scenario`] — time-varying composite scenarios: named workloads
 //!   over `schedule:` traffic specs, scenario files, and the
 //!   segment-aware runner with per-window metric breakdowns,
@@ -67,10 +67,6 @@ pub mod sweep;
 pub mod tables;
 pub mod traceio;
 
-pub use ablation::{
-    sweep_edvs_idle_threshold, sweep_tdvs_hysteresis, try_sweep_edvs_idle_threshold,
-    try_sweep_tdvs_hysteresis, AblationCell,
-};
 pub use cachefmt::run_cached;
 pub use ccache::{Cache, CacheCounters, CacheStats, CACHE_EPOCH};
 pub use compare::{compare_policies, try_compare_policies, ComparisonRow, PolicyComparison};
@@ -87,12 +83,8 @@ pub use record::{
     try_replicated_run_recorded, RecordedSeries,
 };
 pub use replicate::{
-    replicated_compare, replicated_run, replicated_sweep_tdvs, run_replicated_experiments,
-    try_replicated_compare, try_replicated_run, try_replicated_sweep_edvs_idle_threshold,
-    try_replicated_sweep_specs, try_replicated_sweep_tdvs, try_replicated_sweep_tdvs_hysteresis,
-    try_replicated_sweep_traffics, ReplicatedAblationCell, ReplicatedComparison,
-    ReplicatedComparisonRow, ReplicatedGridCell, ReplicatedResult, ReplicatedSpecCell,
-    ReplicatedTrafficCell,
+    run_replicated_experiments, try_replicated_compare, try_replicated_run, ReplicatedComparison,
+    ReplicatedComparisonRow, ReplicatedResult,
 };
 pub use scenario::{
     builtin_scenarios, try_run_scenario, PolicyOutcome, Scenario, ScenarioRun, SegmentDist,
@@ -102,10 +94,7 @@ pub use stats::{
     welch_t, ConfidenceInterval, ConfidenceLevel, ReplicatedMetrics, Replication, Summary, WelchT,
 };
 pub use summarize::{summarize_record, ChannelSummary, RecordSummary};
-pub use sweep::{
-    sweep_specs, sweep_tdvs, sweep_traffics, try_sweep_specs, try_sweep_tdvs, try_sweep_traffics,
-    GridCell, SpecCell, TdvsGrid, TrafficCell,
-};
+pub use sweep::{sweep_tdvs, try_sweep_tdvs, GridCell, SweepAxis, TdvsGrid};
 pub use traceio::{
     analyze_trace, generate_trace, parse_provenance, StreamStats, TraceAnalysis, TraceProvenance,
 };

@@ -1,9 +1,9 @@
-//! Replication batches: every experiment axis — single runs, the TDVS
-//! grid, policy/traffic sweeps, ablations and the policy comparison —
-//! re-run over k seed-derived replicates and folded into per-metric
-//! confidence intervals.
+//! Replication batches: every experiment axis — single runs, every
+//! [`crate::SweepAxis`] and the policy comparison — re-run over k
+//! seed-derived replicates and folded into per-metric confidence
+//! intervals.
 //!
-//! A replicated batch is the same grid the plain entry point runs,
+//! A replicated batch is the same grid the plain batch runs,
 //! fanned out `k ×` through [`stats::Replication`]: cell `c`'s
 //! replicate `i` runs with seed `derive_seed(base_seed, i)`, so the
 //! whole batch is a pure function of the base seed. Execution reuses
@@ -19,16 +19,14 @@
 //! would silently report a narrower interval than the batch earned, so
 //! cells are all-or-nothing.
 
-use dvs::{PolicyKind, TdvsConfig};
-use nepsim::{Benchmark, PolicySpec};
+use dvs::PolicyKind;
+use nepsim::Benchmark;
 use stats::{ReplicatedMetrics, Replication, RunMetrics};
 use traffic::TrafficSpec;
 use xrun::{JobError, Runner};
 
-use crate::ablation::{edvs_threshold_experiments, hysteresis_experiments};
 use crate::compare::{comparison_experiments, ComparisonConfig};
-use crate::experiment::{expect_cells, partition_cells, run_experiments, Experiment};
-use crate::sweep::{tdvs_experiments, TdvsGrid};
+use crate::experiment::{partition_cells, run_experiments, Experiment};
 
 /// One replicated cell: the base experiment (whose seed names the
 /// replicate family) and the per-metric summaries over its k runs.
@@ -119,230 +117,6 @@ pub fn try_replicated_run(
     run_replicated_experiments(runner, vec![experiment.clone()], seeds)
         .pop()
         .expect("one experiment yields one outcome")
-}
-
-/// Infallible form of [`try_replicated_run`] on a default runner.
-///
-/// # Panics
-///
-/// Panics when any replicate fails.
-#[must_use]
-pub fn replicated_run(experiment: &Experiment, seeds: u64) -> ReplicatedResult {
-    expect_cells(vec![try_replicated_run(&Runner::new(), experiment, seeds)])
-        .pop()
-        .expect("one experiment yields one cell")
-}
-
-/// One replicated cell of a TDVS threshold × window sweep.
-#[derive(Debug, Clone)]
-pub struct ReplicatedGridCell {
-    /// The top threshold of this cell, Mbps.
-    pub threshold_mbps: f64,
-    /// The window size of this cell, cycles.
-    pub window_cycles: u64,
-    /// The replicated cell result.
-    pub result: ReplicatedResult,
-}
-
-/// Runs the TDVS sweep of [`crate::sweep::try_sweep_tdvs`] with `seeds`
-/// replicates per grid cell, one outcome per cell in grid order.
-#[must_use]
-pub fn try_replicated_sweep_tdvs(
-    runner: &Runner,
-    benchmark: Benchmark,
-    traffic: &TrafficSpec,
-    grid: &TdvsGrid,
-    cycles: u64,
-    seed: u64,
-    seeds: u64,
-) -> Vec<Result<ReplicatedGridCell, JobError>> {
-    let (params, experiments) = tdvs_experiments(benchmark, traffic, grid, cycles, seed);
-    run_replicated_experiments(runner, experiments, seeds)
-        .into_iter()
-        .zip(params)
-        .map(|(outcome, (threshold_mbps, window_cycles))| {
-            outcome.map(|result| ReplicatedGridCell {
-                threshold_mbps,
-                window_cycles,
-                result,
-            })
-        })
-        .collect()
-}
-
-/// Infallible form of [`try_replicated_sweep_tdvs`] on a default
-/// runner.
-///
-/// # Panics
-///
-/// Panics when any replicate fails.
-#[must_use]
-pub fn replicated_sweep_tdvs(
-    benchmark: Benchmark,
-    traffic: &TrafficSpec,
-    grid: &TdvsGrid,
-    cycles: u64,
-    seed: u64,
-    seeds: u64,
-) -> Vec<ReplicatedGridCell> {
-    expect_cells(try_replicated_sweep_tdvs(
-        &Runner::new(),
-        benchmark,
-        traffic,
-        grid,
-        cycles,
-        seed,
-        seeds,
-    ))
-}
-
-/// One replicated cell of a policy-spec sweep.
-#[derive(Debug, Clone)]
-pub struct ReplicatedSpecCell {
-    /// The spec this cell ran.
-    pub spec: PolicySpec,
-    /// The replicated cell result.
-    pub result: ReplicatedResult,
-}
-
-/// Runs the policy-spec sweep of [`crate::sweep::try_sweep_specs`] with
-/// `seeds` replicates per spec, one outcome per spec in list order.
-#[must_use]
-pub fn try_replicated_sweep_specs(
-    runner: &Runner,
-    benchmark: Benchmark,
-    traffic: &TrafficSpec,
-    specs: &[PolicySpec],
-    cycles: u64,
-    seed: u64,
-    seeds: u64,
-) -> Vec<Result<ReplicatedSpecCell, JobError>> {
-    let experiments = specs
-        .iter()
-        .map(|spec| Experiment {
-            benchmark,
-            traffic: traffic.clone(),
-            policy: spec.clone(),
-            cycles,
-            seed,
-        })
-        .collect();
-    run_replicated_experiments(runner, experiments, seeds)
-        .into_iter()
-        .zip(specs)
-        .map(|(outcome, spec)| {
-            outcome.map(|result| ReplicatedSpecCell {
-                spec: spec.clone(),
-                result,
-            })
-        })
-        .collect()
-}
-
-/// One replicated cell of a traffic-model sweep.
-#[derive(Debug, Clone)]
-pub struct ReplicatedTrafficCell {
-    /// The traffic spec this cell ran.
-    pub spec: TrafficSpec,
-    /// The replicated cell result.
-    pub result: ReplicatedResult,
-}
-
-/// Runs the traffic sweep of [`crate::sweep::try_sweep_traffics`] with
-/// `seeds` replicates per spec, one outcome per spec in list order.
-#[must_use]
-pub fn try_replicated_sweep_traffics(
-    runner: &Runner,
-    benchmark: Benchmark,
-    traffics: &[TrafficSpec],
-    policy: &PolicySpec,
-    cycles: u64,
-    seed: u64,
-    seeds: u64,
-) -> Vec<Result<ReplicatedTrafficCell, JobError>> {
-    let experiments = traffics
-        .iter()
-        .map(|spec| Experiment {
-            benchmark,
-            traffic: spec.clone(),
-            policy: policy.clone(),
-            cycles,
-            seed,
-        })
-        .collect();
-    run_replicated_experiments(runner, experiments, seeds)
-        .into_iter()
-        .zip(traffics)
-        .map(|(outcome, spec)| {
-            outcome.map(|result| ReplicatedTrafficCell {
-                spec: spec.clone(),
-                result,
-            })
-        })
-        .collect()
-}
-
-/// One replicated ablation point.
-#[derive(Debug, Clone)]
-pub struct ReplicatedAblationCell {
-    /// The value of the varied parameter.
-    pub parameter: f64,
-    /// The replicated cell result.
-    pub result: ReplicatedResult,
-}
-
-/// Runs the EDVS idle-threshold ablation of
-/// [`crate::ablation::try_sweep_edvs_idle_threshold`] with `seeds`
-/// replicates per point.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn try_replicated_sweep_edvs_idle_threshold(
-    runner: &Runner,
-    benchmark: Benchmark,
-    traffic: &TrafficSpec,
-    thresholds: &[f64],
-    window_cycles: u64,
-    cycles: u64,
-    seed: u64,
-    seeds: u64,
-) -> Vec<Result<ReplicatedAblationCell, JobError>> {
-    let experiments =
-        edvs_threshold_experiments(benchmark, traffic, thresholds, window_cycles, cycles, seed);
-    collect_replicated_ablation(runner, experiments, thresholds, seeds)
-}
-
-/// Runs the TDVS hysteresis ablation of
-/// [`crate::ablation::try_sweep_tdvs_hysteresis`] with `seeds`
-/// replicates per point.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn try_replicated_sweep_tdvs_hysteresis(
-    runner: &Runner,
-    benchmark: Benchmark,
-    traffic: &TrafficSpec,
-    base: TdvsConfig,
-    bands: &[f64],
-    cycles: u64,
-    seed: u64,
-    seeds: u64,
-) -> Vec<Result<ReplicatedAblationCell, JobError>> {
-    let experiments = hysteresis_experiments(benchmark, traffic, base, bands, cycles, seed);
-    collect_replicated_ablation(runner, experiments, bands, seeds)
-}
-
-fn collect_replicated_ablation(
-    runner: &Runner,
-    experiments: Vec<Experiment>,
-    parameters: &[f64],
-    seeds: u64,
-) -> Vec<Result<ReplicatedAblationCell, JobError>> {
-    run_replicated_experiments(runner, experiments, seeds)
-        .into_iter()
-        .zip(parameters)
-        .map(|(outcome, &parameter)| {
-            outcome.map(|result| ReplicatedAblationCell { parameter, result })
-        })
-        .collect()
 }
 
 /// One row of the replicated comparison grid.
@@ -447,26 +221,12 @@ pub fn try_replicated_compare(
     (ReplicatedComparison { rows, seeds }, errors)
 }
 
-/// Infallible form of [`try_replicated_compare`] on a default runner.
-///
-/// # Panics
-///
-/// Panics when any replicate fails.
-#[must_use]
-pub fn replicated_compare(
-    benchmarks: &[Benchmark],
-    traffics: &[TrafficSpec],
-    config: &ComparisonConfig,
-    seeds: u64,
-) -> ReplicatedComparison {
-    let (cmp, errors) = try_replicated_compare(&Runner::new(), benchmarks, traffics, config, seeds);
-    crate::experiment::assert_no_failures(&errors);
-    cmp
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::expect_cells;
+    use crate::sweep::{tdvs_coordinates, SweepAxis, TdvsGrid};
+    use nepsim::PolicySpec;
     use stats::ConfidenceLevel;
     use traffic::TrafficLevel;
     use xrun::derive_seed;
@@ -483,10 +243,18 @@ mod tests {
         }
     }
 
+    fn replicated_sweep(axis: &SweepAxis, seed: u64, seeds: u64) -> Vec<ReplicatedResult> {
+        expect_cells(run_replicated_experiments(
+            &Runner::new(),
+            axis.experiments(Benchmark::Ipfwdr, CYCLES, seed),
+            seeds,
+        ))
+    }
+
     #[test]
     fn replicated_run_folds_exactly_the_derived_seeds() {
         let seeds = 3;
-        let replicated = replicated_run(&experiment(), seeds);
+        let replicated = try_replicated_run(&Runner::new(), &experiment(), seeds).unwrap();
         assert_eq!(replicated.replicates(), seeds);
         // The fold must equal running each derived seed by hand, in
         // replicate order.
@@ -522,68 +290,54 @@ mod tests {
 
     #[test]
     fn replicated_tdvs_sweep_covers_the_grid() {
-        let grid = TdvsGrid {
-            thresholds_mbps: vec![1000.0, 1400.0],
-            windows_cycles: vec![40_000],
+        let axis = SweepAxis::Tdvs {
+            traffic: TrafficLevel::Medium.into(),
+            grid: TdvsGrid {
+                thresholds_mbps: vec![1000.0, 1400.0],
+                windows_cycles: vec![40_000],
+            },
         };
-        let cells = replicated_sweep_tdvs(
-            Benchmark::Ipfwdr,
-            &TrafficLevel::Medium.into(),
-            &grid,
-            CYCLES,
-            7,
-            2,
-        );
+        let cells = replicated_sweep(&axis, 7, 2);
         assert_eq!(cells.len(), 2);
         for cell in &cells {
-            assert_eq!(cell.result.replicates(), 2);
-            assert!(cell.result.metrics.mean_power_w.mean() > 0.2);
+            assert_eq!(cell.replicates(), 2);
+            assert!(cell.metrics.mean_power_w.mean() > 0.2);
         }
-        assert_eq!(cells[0].threshold_mbps, 1000.0);
-        assert_eq!(cells[1].threshold_mbps, 1400.0);
+        assert_eq!(tdvs_coordinates(&cells[0].experiment), (1000.0, 40_000));
+        assert_eq!(tdvs_coordinates(&cells[1].experiment), (1400.0, 40_000));
     }
 
     #[test]
     fn replicated_spec_and_traffic_sweeps_keep_list_order() {
-        let runner = Runner::new();
         let specs: Vec<PolicySpec> = ["nodvs", "queue"]
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        let cells = expect_cells(try_replicated_sweep_specs(
-            &runner,
-            Benchmark::Ipfwdr,
-            &TrafficLevel::Low.into(),
-            &specs,
-            CYCLES,
-            7,
-            2,
-        ));
+        let axis = SweepAxis::Policies {
+            traffic: TrafficLevel::Low.into(),
+            policies: specs.clone(),
+        };
+        let cells = replicated_sweep(&axis, 7, 2);
         assert_eq!(cells.len(), 2);
         for (cell, spec) in cells.iter().zip(&specs) {
-            assert_eq!(&cell.spec, spec);
-            assert_eq!(cell.result.experiment.policy, *spec);
+            assert_eq!(cell.experiment.policy, *spec);
         }
 
         let traffics: Vec<TrafficSpec> = ["low", "constant:rate=500"]
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        let cells = expect_cells(try_replicated_sweep_traffics(
-            &runner,
-            Benchmark::Ipfwdr,
-            &traffics,
-            &PolicySpec::NoDvs,
-            CYCLES,
-            7,
-            2,
-        ));
+        let axis = SweepAxis::Traffics {
+            traffics: traffics.clone(),
+            policy: PolicySpec::NoDvs,
+        };
+        let cells = replicated_sweep(&axis, 7, 2);
         assert_eq!(cells.len(), 2);
         for (cell, spec) in cells.iter().zip(&traffics) {
-            assert_eq!(&cell.spec, spec);
+            assert_eq!(cell.experiment.traffic, *spec);
         }
         // The CBR source is seed-free, so its replicates agree exactly.
-        assert_eq!(cells[1].result.metrics.offered_mbps.std_dev(), 0.0);
+        assert_eq!(cells[1].metrics.offered_mbps.std_dev(), 0.0);
     }
 
     #[test]
@@ -592,7 +346,14 @@ mod tests {
             cycles: 1_200_000,
             ..ComparisonConfig::default()
         };
-        let cmp = replicated_compare(&[Benchmark::Ipfwdr], &[TrafficLevel::Low.into()], &cfg, 2);
+        let (cmp, errors) = try_replicated_compare(
+            &Runner::new(),
+            &[Benchmark::Ipfwdr],
+            &[TrafficLevel::Low.into()],
+            &cfg,
+            2,
+        );
+        assert!(errors.is_empty(), "{errors:?}");
         assert_eq!(cmp.rows.len(), 6);
         assert_eq!(cmp.seeds, 2);
         let saving = cmp
@@ -612,17 +373,16 @@ mod tests {
     fn failing_replicate_fails_only_its_cell() {
         // A trace spec pointing nowhere panics when the cell builds its
         // model mid-batch; the healthy cell must still complete.
-        let traffics: Vec<TrafficSpec> = vec![
-            "low".parse().unwrap(),
-            "trace:path=/no/such/replicated-trace.txt".parse().unwrap(),
-        ];
-        let outcomes = try_replicated_sweep_traffics(
+        let axis = SweepAxis::Traffics {
+            traffics: vec![
+                "low".parse().unwrap(),
+                "trace:path=/no/such/replicated-trace.txt".parse().unwrap(),
+            ],
+            policy: PolicySpec::NoDvs,
+        };
+        let outcomes = run_replicated_experiments(
             &Runner::serial(),
-            Benchmark::Ipfwdr,
-            &traffics,
-            &PolicySpec::NoDvs,
-            150_000,
-            7,
+            axis.experiments(Benchmark::Ipfwdr, 150_000, 7),
             2,
         );
         assert_eq!(outcomes.len(), 2);

@@ -1,7 +1,8 @@
 //! Design-space sweeps: the paper's TDVS threshold × window grid
 //! (§4.1, Figures 6–9) plus the two open axes — arbitrary
-//! [`PolicySpec`] sweeps and arbitrary [`TrafficSpec`] sweeps. Any list
-//! of spec strings becomes a sweep table.
+//! [`PolicySpec`] sweeps and arbitrary [`TrafficSpec`] sweeps — as one
+//! [`SweepAxis`] that lowers to experiments. Any list of spec strings
+//! becomes a sweep table.
 
 use dvs::TdvsConfig;
 use nepsim::{Benchmark, PolicySpec};
@@ -45,6 +46,141 @@ impl TdvsGrid {
     }
 }
 
+/// What a sweep varies, holding only the coordinates that axis keeps
+/// fixed: every sweep — the paper's TDVS grid, a policy list or a
+/// traffic list, plain or replicated — is one [`SweepAxis`] lowered by
+/// [`SweepAxis::experiments`] and run through
+/// [`run_experiments`] or [`crate::run_replicated_experiments`].
+///
+/// The swept coordinate of every cell stays readable from its
+/// [`Experiment`]: the TDVS threshold and window from `policy` (see
+/// [`tdvs_coordinates`]), the swept spec from `policy` or `traffic`.
+///
+/// # Example
+///
+/// ```
+/// use abdex::{run_experiments, PolicySpec, Runner, SweepAxis};
+/// use abdex::experiment::expect_cells;
+/// use abdex::nepsim::Benchmark;
+/// use abdex::traffic::{TrafficLevel, TrafficSpec};
+///
+/// let axis = SweepAxis::Policies {
+///     traffic: TrafficLevel::High.into(),
+///     policies: ["nodvs", "queue:high=0.9", "proportional"]
+///         .iter()
+///         .map(|s| s.parse().unwrap())
+///         .collect(),
+/// };
+/// let results = expect_cells(run_experiments(
+///     &Runner::new(),
+///     axis.experiments(Benchmark::Ipfwdr, 200_000, 1),
+/// ));
+/// assert_eq!(results.len(), 3);
+/// assert!(results[1].experiment.policy.spec_string().starts_with("queue:high=0.9"));
+///
+/// let axis = SweepAxis::Traffics {
+///     traffics: ["low", "burst:period_s=0.001", "flash"]
+///         .iter()
+///         .map(|s| s.parse().unwrap())
+///         .collect(),
+///     policy: PolicySpec::NoDvs,
+/// };
+/// let experiments = axis.experiments(Benchmark::Ipfwdr, 200_000, 1);
+/// assert_eq!(experiments[2].traffic, "flash".parse::<TrafficSpec>().unwrap());
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub enum SweepAxis {
+    /// The paper's TDVS threshold × window grid (§4.1, Figs 6–9) at one
+    /// traffic spec.
+    Tdvs {
+        /// The traffic every cell runs.
+        traffic: TrafficSpec,
+        /// The swept thresholds and windows.
+        grid: TdvsGrid,
+    },
+    /// One cell per policy spec — every registered policy, and every
+    /// parameter combination expressible as a spec — at one traffic
+    /// spec.
+    Policies {
+        /// The traffic every cell runs.
+        traffic: TrafficSpec,
+        /// The swept policies, in cell order.
+        policies: Vec<PolicySpec>,
+    },
+    /// One cell per traffic spec under one policy: the traffic axis,
+    /// open to every registered model.
+    Traffics {
+        /// The swept traffic specs, in cell order.
+        traffics: Vec<TrafficSpec>,
+        /// The policy every cell runs.
+        policy: PolicySpec,
+    },
+}
+
+impl SweepAxis {
+    /// The axis name replicated documents carry as `"axis"`: `tdvs`,
+    /// `policies` or `traffics`.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        match self {
+            SweepAxis::Tdvs { .. } => "tdvs",
+            SweepAxis::Policies { .. } => "policies",
+            SweepAxis::Traffics { .. } => "traffics",
+        }
+    }
+
+    /// Lowers the axis to one experiment per cell, in sweep order (the
+    /// TDVS grid threshold-major), all with the same benchmark, run
+    /// length and seed.
+    #[must_use]
+    pub fn experiments(&self, benchmark: Benchmark, cycles: u64, seed: u64) -> Vec<Experiment> {
+        let cell = |traffic: &TrafficSpec, policy: PolicySpec| Experiment {
+            benchmark,
+            traffic: traffic.clone(),
+            policy,
+            cycles,
+            seed,
+        };
+        match self {
+            SweepAxis::Tdvs { traffic, grid } => grid
+                .thresholds_mbps
+                .iter()
+                .flat_map(|&t| grid.windows_cycles.iter().map(move |&w| (t, w)))
+                .map(|(threshold, window)| {
+                    cell(
+                        traffic,
+                        PolicySpec::Tdvs(TdvsConfig {
+                            top_threshold_mbps: threshold,
+                            window_cycles: window,
+                        }),
+                    )
+                })
+                .collect(),
+            SweepAxis::Policies { traffic, policies } => {
+                policies.iter().map(|p| cell(traffic, p.clone())).collect()
+            }
+            SweepAxis::Traffics { traffics, policy } => {
+                traffics.iter().map(|t| cell(t, policy.clone())).collect()
+            }
+        }
+    }
+}
+
+/// The `(threshold, window)` coordinates of a TDVS-grid cell, read back
+/// from the policy the cell ran.
+///
+/// # Panics
+///
+/// Panics when the experiment's policy is not plain TDVS, i.e. the cell
+/// was not lowered from a [`SweepAxis::Tdvs`].
+#[must_use]
+pub fn tdvs_coordinates(experiment: &Experiment) -> (f64, u64) {
+    match &experiment.policy {
+        PolicySpec::Tdvs(c) => (c.top_threshold_mbps, c.window_cycles),
+        other => panic!("not a TDVS grid cell: {}", other.spec_string()),
+    }
+}
+
 /// One evaluated cell of a TDVS sweep.
 #[derive(Debug, Clone)]
 pub struct GridCell {
@@ -54,6 +190,19 @@ pub struct GridCell {
     pub window_cycles: u64,
     /// The evaluated experiment.
     pub result: ExperimentResult,
+}
+
+impl From<ExperimentResult> for GridCell {
+    /// Keys a TDVS-grid result by the coordinates its policy ran (see
+    /// [`tdvs_coordinates`]).
+    fn from(result: ExperimentResult) -> Self {
+        let (threshold_mbps, window_cycles) = tdvs_coordinates(&result.experiment);
+        GridCell {
+            threshold_mbps,
+            window_cycles,
+            result,
+        }
+    }
 }
 
 /// Runs a full TDVS sweep: one simulation per `(threshold, window)` cell,
@@ -106,214 +255,15 @@ pub fn try_sweep_tdvs(
     cycles: u64,
     seed: u64,
 ) -> Vec<Result<GridCell, JobError>> {
-    let (params, experiments) = tdvs_experiments(benchmark, traffic, grid, cycles, seed);
-    let outcomes = run_experiments(runner, experiments);
+    let axis = SweepAxis::Tdvs {
+        traffic: traffic.clone(),
+        grid: grid.clone(),
+    };
+    let outcomes = run_experiments(runner, axis.experiments(benchmark, cycles, seed));
     let _prof = obs::prof::span("fold");
     outcomes
         .into_iter()
-        .zip(params)
-        .map(|(outcome, (threshold_mbps, window_cycles))| {
-            outcome.map(|result| GridCell {
-                threshold_mbps,
-                window_cycles,
-                result,
-            })
-        })
-        .collect()
-}
-
-/// The TDVS grid in sweep order, as the `(threshold, window)` keys and
-/// the experiment each key runs — the single construction point both
-/// the plain and the replicated sweep share, so their grids can never
-/// drift apart.
-pub(crate) fn tdvs_experiments(
-    benchmark: Benchmark,
-    traffic: &TrafficSpec,
-    grid: &TdvsGrid,
-    cycles: u64,
-    seed: u64,
-) -> (Vec<(f64, u64)>, Vec<Experiment>) {
-    let params: Vec<(f64, u64)> = grid
-        .thresholds_mbps
-        .iter()
-        .flat_map(|&t| grid.windows_cycles.iter().map(move |&w| (t, w)))
-        .collect();
-    let experiments = params
-        .iter()
-        .map(|&(threshold, window)| Experiment {
-            benchmark,
-            traffic: traffic.clone(),
-            policy: PolicySpec::Tdvs(TdvsConfig {
-                top_threshold_mbps: threshold,
-                window_cycles: window,
-            }),
-            cycles,
-            seed,
-        })
-        .collect();
-    (params, experiments)
-}
-
-/// One evaluated cell of a policy-spec sweep.
-#[derive(Debug, Clone)]
-pub struct SpecCell {
-    /// The spec this cell ran (its [`PolicySpec::spec_string`] labels the
-    /// sweep-table row).
-    pub spec: PolicySpec,
-    /// The evaluated experiment.
-    pub result: ExperimentResult,
-}
-
-/// Runs one simulation per policy spec — the open-ended counterpart of
-/// [`sweep_tdvs`], covering every registered policy (and every parameter
-/// combination expressible as a spec).
-///
-/// # Example
-///
-/// ```
-/// use abdex::{sweep_specs, PolicySpec};
-/// use abdex::nepsim::Benchmark;
-/// use abdex::traffic::TrafficLevel;
-///
-/// let specs: Vec<PolicySpec> = ["nodvs", "queue:high=0.9", "proportional"]
-///     .iter()
-///     .map(|s| s.parse().unwrap())
-///     .collect();
-/// let cells = sweep_specs(Benchmark::Ipfwdr, &TrafficLevel::High.into(), &specs, 200_000, 1);
-/// assert_eq!(cells.len(), 3);
-/// ```
-#[must_use]
-pub fn sweep_specs(
-    benchmark: Benchmark,
-    traffic: &TrafficSpec,
-    specs: &[PolicySpec],
-    cycles: u64,
-    seed: u64,
-) -> Vec<SpecCell> {
-    expect_cells(try_sweep_specs(
-        &Runner::new(),
-        benchmark,
-        traffic,
-        specs,
-        cycles,
-        seed,
-    ))
-}
-
-/// Runs a policy-spec sweep on the given [`Runner`], one outcome per
-/// spec in list order: the fallible form of [`sweep_specs`].
-#[must_use]
-pub fn try_sweep_specs(
-    runner: &Runner,
-    benchmark: Benchmark,
-    traffic: &TrafficSpec,
-    specs: &[PolicySpec],
-    cycles: u64,
-    seed: u64,
-) -> Vec<Result<SpecCell, JobError>> {
-    let experiments = specs
-        .iter()
-        .map(|spec| Experiment {
-            benchmark,
-            traffic: traffic.clone(),
-            policy: spec.clone(),
-            cycles,
-            seed,
-        })
-        .collect();
-    let outcomes = run_experiments(runner, experiments);
-    let _prof = obs::prof::span("fold");
-    outcomes
-        .into_iter()
-        .zip(specs)
-        .map(|(outcome, spec)| {
-            outcome.map(|result| SpecCell {
-                spec: spec.clone(),
-                result,
-            })
-        })
-        .collect()
-}
-
-/// One evaluated cell of a traffic-model sweep.
-#[derive(Debug, Clone)]
-pub struct TrafficCell {
-    /// The traffic spec this cell ran (its
-    /// [`TrafficSpec::spec_string`] labels the sweep-table row).
-    pub spec: TrafficSpec,
-    /// The evaluated experiment.
-    pub result: ExperimentResult,
-}
-
-/// Runs one simulation per traffic spec under a fixed policy — the
-/// traffic axis of the experiment grid, opened to every registered
-/// model (and every parameter combination expressible as a spec).
-///
-/// # Example
-///
-/// ```
-/// use abdex::{sweep_traffics, PolicySpec};
-/// use abdex::nepsim::Benchmark;
-/// use abdex::traffic::TrafficSpec;
-///
-/// let traffics: Vec<TrafficSpec> = ["low", "burst:period_s=0.001", "flash"]
-///     .iter()
-///     .map(|s| s.parse().unwrap())
-///     .collect();
-/// let cells = sweep_traffics(
-///     Benchmark::Ipfwdr, &traffics, &PolicySpec::NoDvs, 200_000, 1);
-/// assert_eq!(cells.len(), 3);
-/// ```
-#[must_use]
-pub fn sweep_traffics(
-    benchmark: Benchmark,
-    traffics: &[TrafficSpec],
-    policy: &PolicySpec,
-    cycles: u64,
-    seed: u64,
-) -> Vec<TrafficCell> {
-    expect_cells(try_sweep_traffics(
-        &Runner::new(),
-        benchmark,
-        traffics,
-        policy,
-        cycles,
-        seed,
-    ))
-}
-
-/// Runs a traffic-model sweep on the given [`Runner`], one outcome per
-/// spec in list order: the fallible form of [`sweep_traffics`].
-#[must_use]
-pub fn try_sweep_traffics(
-    runner: &Runner,
-    benchmark: Benchmark,
-    traffics: &[TrafficSpec],
-    policy: &PolicySpec,
-    cycles: u64,
-    seed: u64,
-) -> Vec<Result<TrafficCell, JobError>> {
-    let experiments = traffics
-        .iter()
-        .map(|spec| Experiment {
-            benchmark,
-            traffic: spec.clone(),
-            policy: policy.clone(),
-            cycles,
-            seed,
-        })
-        .collect();
-    let outcomes = run_experiments(runner, experiments);
-    let _prof = obs::prof::span("fold");
-    outcomes
-        .into_iter()
-        .zip(traffics)
-        .map(|(outcome, spec)| {
-            outcome.map(|result| TrafficCell {
-                spec: spec.clone(),
-                result,
-            })
-        })
+        .map(|outcome| outcome.map(GridCell::from))
         .collect()
 }
 
@@ -349,6 +299,13 @@ mod tests {
     use super::*;
     use traffic::TrafficLevel;
 
+    fn run(axis: &SweepAxis, cycles: u64, seed: u64) -> Vec<ExperimentResult> {
+        expect_cells(run_experiments(
+            &Runner::new(),
+            axis.experiments(Benchmark::Ipfwdr, cycles, seed),
+        ))
+    }
+
     #[test]
     fn default_grid_matches_paper() {
         let g = TdvsGrid::default();
@@ -378,6 +335,13 @@ mod tests {
             .collect();
         assert!(combos.contains(&(1000.0, 20_000)));
         assert!(combos.contains(&(1400.0, 80_000)));
+        // Every cell's key is the one its policy ran.
+        for c in &cells {
+            assert_eq!(
+                tdvs_coordinates(&c.result.experiment),
+                (c.threshold_mbps, c.window_cycles)
+            );
+        }
     }
 
     #[test]
@@ -386,18 +350,15 @@ mod tests {
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        let cells = sweep_specs(
-            Benchmark::Ipfwdr,
-            &TrafficLevel::Low.into(),
-            &specs,
-            400_000,
-            7,
-        );
-        assert_eq!(cells.len(), 4);
-        for (cell, spec) in cells.iter().zip(&specs) {
-            assert_eq!(&cell.spec, spec);
-            assert_eq!(cell.result.experiment.policy, *spec);
-            assert!(cell.result.sim.mean_power_w() > 0.2);
+        let axis = SweepAxis::Policies {
+            traffic: TrafficLevel::Low.into(),
+            policies: specs.clone(),
+        };
+        let results = run(&axis, 400_000, 7);
+        assert_eq!(results.len(), 4);
+        for (result, spec) in results.iter().zip(&specs) {
+            assert_eq!(result.experiment.policy, *spec);
+            assert!(result.sim.mean_power_w() > 0.2);
         }
     }
 
@@ -437,15 +398,18 @@ mod tests {
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        let cells = sweep_traffics(Benchmark::Ipfwdr, &traffics, &PolicySpec::NoDvs, 400_000, 7);
-        assert_eq!(cells.len(), 3);
-        for (cell, spec) in cells.iter().zip(&traffics) {
-            assert_eq!(&cell.spec, spec);
-            assert_eq!(cell.result.experiment.traffic, *spec);
-            assert!(cell.result.sim.forwarded_packets > 0);
+        let axis = SweepAxis::Traffics {
+            traffics: traffics.clone(),
+            policy: PolicySpec::NoDvs,
+        };
+        let results = run(&axis, 400_000, 7);
+        assert_eq!(results.len(), 3);
+        for (result, spec) in results.iter().zip(&traffics) {
+            assert_eq!(result.experiment.traffic, *spec);
+            assert!(result.sim.forwarded_packets > 0);
         }
         // The constant source's offered load is exact by construction.
-        let offered = cells[1].result.sim.offered_mbps();
+        let offered = results[1].sim.offered_mbps();
         assert!(
             (offered - 500.0).abs() / 500.0 < 0.02,
             "offered {offered:.1}"

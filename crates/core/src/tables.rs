@@ -7,11 +7,9 @@ use scenario::ScenarioRun;
 use stats::{welch_t, ConfidenceLevel, Summary};
 
 use crate::compare::PolicyComparison;
-use crate::replicate::{
-    ReplicatedComparison, ReplicatedGridCell, ReplicatedResult, ReplicatedSpecCell,
-    ReplicatedTrafficCell,
-};
-use crate::sweep::{GridCell, SpecCell, TrafficCell};
+use crate::experiment::ExperimentResult;
+use crate::replicate::{ReplicatedComparison, ReplicatedResult};
+use crate::sweep::{tdvs_coordinates, GridCell, SweepAxis};
 use crate::traceio::{StreamStats, TraceAnalysis};
 use dist::fit::FitCandidate;
 
@@ -111,72 +109,93 @@ pub fn render_comparison(cmp: &PolicyComparison) -> String {
 /// throughput, switch counts).
 #[must_use]
 pub fn render_sweep(cells: &[GridCell]) -> String {
+    tdvs_table(
+        cells
+            .iter()
+            .map(|c| (c.threshold_mbps, c.window_cycles, &c.result)),
+    )
+}
+
+/// Renders a plain sweep in its axis's column layout: the TDVS grid as
+/// [`render_sweep`], a policy list one row per spec, a traffic list one
+/// row per spec with the offered load next to what the chip achieved.
+/// Row keys are read from each result's experiment.
+#[must_use]
+pub fn render_axis_sweep(axis: &SweepAxis, results: &[ExperimentResult]) -> String {
+    match axis {
+        SweepAxis::Tdvs { .. } => tdvs_table(results.iter().map(|r| {
+            let (threshold, window) = tdvs_coordinates(&r.experiment);
+            (threshold, window, r)
+        })),
+        SweepAxis::Policies { .. } => spec_table(results),
+        SweepAxis::Traffics { .. } => traffic_table(results),
+    }
+}
+
+fn tdvs_table<'a>(cells: impl Iterator<Item = (f64, u64, &'a ExperimentResult)>) -> String {
     let mut out = String::from("threshold_mbps window_cycles p80_power_w p80_tput_mbps switches\n");
-    for c in cells {
+    for (threshold, window, r) in cells {
         out.push_str(&format!(
             "{:>14.0} {:>13} {:>11.3} {:>13.1} {:>8}\n",
-            c.threshold_mbps,
-            c.window_cycles,
-            c.result.p80_power_w(),
-            c.result.p80_throughput_mbps(),
-            c.result.sim.total_switches,
+            threshold,
+            window,
+            r.p80_power_w(),
+            r.p80_throughput_mbps(),
+            r.sim.total_switches,
         ));
     }
     out
 }
 
-/// Renders a policy-spec sweep: one row per spec, labelled with its
-/// round-trippable spec string.
-#[must_use]
-pub fn render_spec_sweep(cells: &[SpecCell]) -> String {
-    let label_width = cells
+/// The width of a spec-labelled first column: the longest label, at
+/// least as wide as its header.
+fn label_width<'a>(labels: impl Iterator<Item = &'a str>, header: &str) -> usize {
+    labels.map(str::len).max().unwrap_or(0).max(header.len())
+}
+
+fn spec_table(results: &[ExperimentResult]) -> String {
+    let labels: Vec<String> = results
         .iter()
-        .map(|c| c.spec.spec_string().len())
-        .max()
-        .unwrap_or(0)
-        .max("policy_spec".len());
+        .map(|r| r.experiment.policy.spec_string())
+        .collect();
+    let label_width = label_width(labels.iter().map(String::as_str), "policy_spec");
     let mut out = format!(
         "{:<label_width$} {:>6} {:>12} {:>11} {:>13} {:>8}\n",
         "policy_spec", "kind", "mean_power_w", "p80_power_w", "p80_tput_mbps", "switches"
     );
-    for c in cells {
+    for (r, label) in results.iter().zip(&labels) {
         out.push_str(&format!(
             "{:<label_width$} {:>6} {:>12.3} {:>11.3} {:>13.1} {:>8}\n",
-            c.spec.spec_string(),
-            c.spec.kind().to_string(),
-            c.result.sim.mean_power_w(),
-            c.result.p80_power_w(),
-            c.result.p80_throughput_mbps(),
-            c.result.sim.total_switches,
+            label,
+            r.experiment.policy.kind().to_string(),
+            r.sim.mean_power_w(),
+            r.p80_power_w(),
+            r.p80_throughput_mbps(),
+            r.sim.total_switches,
         ));
     }
     out
 }
 
-/// Renders a traffic-model sweep: one row per traffic spec, labelled
-/// with its round-trippable spec string, with the offered load next to
-/// what the chip actually achieved under it.
-#[must_use]
-pub fn render_traffic_sweep(cells: &[TrafficCell]) -> String {
-    let label_width = cells
+fn traffic_table(results: &[ExperimentResult]) -> String {
+    let labels: Vec<String> = results
         .iter()
-        .map(|c| c.spec.spec_string().len())
-        .max()
-        .unwrap_or(0)
-        .max("traffic_spec".len());
+        .map(|r| r.experiment.traffic.spec_string())
+        .collect();
+    let label_width = label_width(labels.iter().map(String::as_str), "traffic_spec");
     let mut out = format!(
         "{:<label_width$} {:>12} {:>12} {:>12} {:>10} {:>8}\n",
         "traffic_spec", "offered_mbps", "tput_mbps", "mean_power_w", "loss_ratio", "switches"
     );
-    for c in cells {
+    for (r, label) in results.iter().zip(&labels) {
         out.push_str(&format!(
             "{:<label_width$} {:>12.1} {:>12.1} {:>12.3} {:>10.4} {:>8}\n",
-            c.spec.spec_string(),
-            c.result.sim.offered_mbps(),
-            c.result.sim.throughput_mbps(),
-            c.result.sim.mean_power_w(),
-            c.result.sim.loss_ratio(),
-            c.result.sim.total_switches,
+            label,
+            r.sim.offered_mbps(),
+            r.sim.throughput_mbps(),
+            r.sim.mean_power_w(),
+            r.sim.loss_ratio(),
+            r.sim.total_switches,
         ));
     }
     out
@@ -219,20 +238,36 @@ pub fn render_replicated_run(r: &ReplicatedResult, level: ConfidenceLevel) -> St
     out
 }
 
-/// Renders a replicated TDVS sweep: one row per grid cell, the key
-/// paper quantities as `mean±half-width` over the replicates.
+/// Renders a replicated sweep in its axis's column layout, the key
+/// quantities as `mean±half-width` over the replicates: the TDVS grid
+/// one row per cell, a policy list one row per spec, a traffic list one
+/// row per spec with offered load, achieved throughput, power and loss.
+/// Row keys are read from each result's base experiment.
 #[must_use]
-pub fn render_replicated_sweep(cells: &[ReplicatedGridCell], level: ConfidenceLevel) -> String {
+pub fn render_replicated_sweep(
+    axis: &SweepAxis,
+    results: &[ReplicatedResult],
+    level: ConfidenceLevel,
+) -> String {
+    match axis {
+        SweepAxis::Tdvs { .. } => replicated_tdvs_table(results, level),
+        SweepAxis::Policies { .. } => replicated_spec_table(results, level),
+        SweepAxis::Traffics { .. } => replicated_traffic_table(results, level),
+    }
+}
+
+fn replicated_tdvs_table(results: &[ReplicatedResult], level: ConfidenceLevel) -> String {
     let mut out = format!(
         "threshold_mbps window_cycles {:>15} {:>15} {:>17} {:>13}\n",
         "mean_power_w", "p80_power_w", "p80_tput_mbps", "switches"
     );
-    for c in cells {
-        let m = &c.result.metrics;
+    for r in results {
+        let (threshold, window) = tdvs_coordinates(&r.experiment);
+        let m = &r.metrics;
         out.push_str(&format!(
             "{:>14.0} {:>13} {:>15} {:>15} {:>17} {:>13}\n",
-            c.threshold_mbps,
-            c.window_cycles,
+            threshold,
+            window,
             pm(&m.mean_power_w, level, 3),
             pm(&m.p80_power_w, level, 3),
             pm(&m.p80_throughput_mbps, level, 1),
@@ -242,28 +277,21 @@ pub fn render_replicated_sweep(cells: &[ReplicatedGridCell], level: ConfidenceLe
     out
 }
 
-/// Renders a replicated policy-spec sweep: one row per spec, labelled
-/// with its round-trippable spec string.
-#[must_use]
-pub fn render_replicated_spec_sweep(
-    cells: &[ReplicatedSpecCell],
-    level: ConfidenceLevel,
-) -> String {
-    let label_width = cells
+fn replicated_spec_table(results: &[ReplicatedResult], level: ConfidenceLevel) -> String {
+    let labels: Vec<String> = results
         .iter()
-        .map(|c| c.spec.spec_string().len())
-        .max()
-        .unwrap_or(0)
-        .max("policy_spec".len());
+        .map(|r| r.experiment.policy.spec_string())
+        .collect();
+    let label_width = label_width(labels.iter().map(String::as_str), "policy_spec");
     let mut out = format!(
         "{:<label_width$} {:>15} {:>15} {:>17} {:>13}\n",
         "policy_spec", "mean_power_w", "p80_power_w", "p80_tput_mbps", "switches"
     );
-    for c in cells {
-        let m = &c.result.metrics;
+    for (r, label) in results.iter().zip(&labels) {
+        let m = &r.metrics;
         out.push_str(&format!(
             "{:<label_width$} {:>15} {:>15} {:>17} {:>13}\n",
-            c.spec.spec_string(),
+            label,
             pm(&m.mean_power_w, level, 3),
             pm(&m.p80_power_w, level, 3),
             pm(&m.p80_throughput_mbps, level, 1),
@@ -273,29 +301,21 @@ pub fn render_replicated_spec_sweep(
     out
 }
 
-/// Renders a replicated traffic-model sweep: one row per traffic spec
-/// with offered load, achieved throughput, power and loss as
-/// `mean±half-width`.
-#[must_use]
-pub fn render_replicated_traffic_sweep(
-    cells: &[ReplicatedTrafficCell],
-    level: ConfidenceLevel,
-) -> String {
-    let label_width = cells
+fn replicated_traffic_table(results: &[ReplicatedResult], level: ConfidenceLevel) -> String {
+    let labels: Vec<String> = results
         .iter()
-        .map(|c| c.spec.spec_string().len())
-        .max()
-        .unwrap_or(0)
-        .max("traffic_spec".len());
+        .map(|r| r.experiment.traffic.spec_string())
+        .collect();
+    let label_width = label_width(labels.iter().map(String::as_str), "traffic_spec");
     let mut out = format!(
         "{:<label_width$} {:>15} {:>15} {:>15} {:>15}\n",
         "traffic_spec", "offered_mbps", "tput_mbps", "mean_power_w", "loss_ratio"
     );
-    for c in cells {
-        let m = &c.result.metrics;
+    for (r, label) in results.iter().zip(&labels) {
+        let m = &r.metrics;
         out.push_str(&format!(
             "{:<label_width$} {:>15} {:>15} {:>15} {:>15}\n",
-            c.spec.spec_string(),
+            label,
             pm(&m.offered_mbps, level, 1),
             pm(&m.throughput_mbps, level, 1),
             pm(&m.mean_power_w, level, 3),
@@ -601,10 +621,30 @@ pub fn render_comparison_csv(cmp: &PolicyComparison) -> String {
 mod tests {
     use super::*;
     use crate::compare::{compare_policies, ComparisonConfig};
+    use crate::experiment::{expect_cells, run_experiments};
     use crate::formulas::power_distribution;
+    use crate::replicate::{
+        run_replicated_experiments, try_replicated_compare, try_replicated_run,
+    };
+    use crate::Runner;
     use loc::{Analyzer, Annotations, TraceRecord};
     use nepsim::Benchmark;
-    use traffic::{TrafficLevel, TrafficSpec};
+    use traffic::TrafficLevel;
+
+    fn sweep(axis: &SweepAxis) -> Vec<ExperimentResult> {
+        expect_cells(run_experiments(
+            &Runner::new(),
+            axis.experiments(Benchmark::Nat, 150_000, 1),
+        ))
+    }
+
+    fn replicated_sweep(axis: &SweepAxis, benchmark: Benchmark) -> Vec<ReplicatedResult> {
+        expect_cells(run_replicated_experiments(
+            &Runner::new(),
+            axis.experiments(benchmark, 150_000, 1),
+            2,
+        ))
+    }
 
     fn tiny_report() -> DistributionReport {
         let mut a = Analyzer::from_formula(&power_distribution(1)).unwrap();
@@ -676,19 +716,14 @@ mod tests {
 
     #[test]
     fn spec_sweep_table_labels_rows_with_spec_strings() {
-        use crate::sweep::sweep_specs;
-        let specs: Vec<crate::PolicySpec> = ["nodvs", "queue:high=0.9,low=0.1"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        let cells = sweep_specs(
-            Benchmark::Nat,
-            &TrafficLevel::Low.into(),
-            &specs,
-            150_000,
-            1,
-        );
-        let text = render_spec_sweep(&cells);
+        let axis = SweepAxis::Policies {
+            traffic: TrafficLevel::Low.into(),
+            policies: ["nodvs", "queue:high=0.9,low=0.1"]
+                .iter()
+                .map(|s| s.parse().unwrap())
+                .collect(),
+        };
+        let text = render_axis_sweep(&axis, &sweep(&axis));
         assert!(text.starts_with("policy_spec"));
         assert!(text.contains("nodvs"));
         assert!(text.contains("queue:high=0.9,low=0.1,window=40000"));
@@ -698,19 +733,14 @@ mod tests {
 
     #[test]
     fn traffic_sweep_table_labels_rows_with_spec_strings() {
-        use crate::sweep::sweep_traffics;
-        let traffics: Vec<TrafficSpec> = ["low", "constant:rate=500"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        let cells = sweep_traffics(
-            Benchmark::Nat,
-            &traffics,
-            &crate::PolicySpec::NoDvs,
-            150_000,
-            1,
-        );
-        let text = render_traffic_sweep(&cells);
+        let axis = SweepAxis::Traffics {
+            traffics: ["low", "constant:rate=500"]
+                .iter()
+                .map(|s| s.parse().unwrap())
+                .collect(),
+            policy: crate::PolicySpec::NoDvs,
+        };
+        let text = render_axis_sweep(&axis, &sweep(&axis));
         assert!(text.starts_with("traffic_spec"));
         assert!(text.contains("low"));
         assert!(text.contains("constant:rate=500,size=576,ports=16"));
@@ -725,10 +755,10 @@ mod tests {
 
     #[test]
     fn replicated_tables_render_mean_plus_minus_half_width() {
-        use crate::replicate::{replicated_run, replicated_sweep_tdvs};
         use crate::Experiment;
 
-        let r = replicated_run(
+        let r = try_replicated_run(
+            &Runner::new(),
             &Experiment {
                 benchmark: Benchmark::Nat,
                 traffic: TrafficLevel::Low.into(),
@@ -737,7 +767,8 @@ mod tests {
                 seed: 3,
             },
             3,
-        );
+        )
+        .unwrap();
         let text = render_replicated_run(&r, ConfidenceLevel::P95);
         assert!(text.contains("3 seeds, 95% CI"), "{text}");
         assert!(text.contains("mean_power_w"), "{text}");
@@ -745,19 +776,15 @@ mod tests {
         // Header + one row per metric field.
         assert_eq!(text.lines().count(), 1 + r.metrics.fields().len());
 
-        let grid = crate::TdvsGrid {
-            thresholds_mbps: vec![1000.0],
-            windows_cycles: vec![40_000],
+        let axis = SweepAxis::Tdvs {
+            traffic: TrafficLevel::Medium.into(),
+            grid: crate::TdvsGrid {
+                thresholds_mbps: vec![1000.0],
+                windows_cycles: vec![40_000],
+            },
         };
-        let cells = replicated_sweep_tdvs(
-            Benchmark::Ipfwdr,
-            &TrafficLevel::Medium.into(),
-            &grid,
-            150_000,
-            1,
-            2,
-        );
-        let text = render_replicated_sweep(&cells, ConfidenceLevel::P95);
+        let cells = replicated_sweep(&axis, Benchmark::Ipfwdr);
+        let text = render_replicated_sweep(&axis, &cells, ConfidenceLevel::P95);
         assert!(text.starts_with("threshold_mbps"), "{text}");
         // Every metric cell is a mean±half-width pair.
         assert!(
@@ -768,12 +795,18 @@ mod tests {
 
     #[test]
     fn replicated_comparison_table_reports_savings_from_means() {
-        use crate::replicate::replicated_compare;
         let cfg = ComparisonConfig {
             cycles: 150_000,
             ..ComparisonConfig::default()
         };
-        let cmp = replicated_compare(&[Benchmark::Nat], &[TrafficLevel::Low.into()], &cfg, 2);
+        let (cmp, errors) = try_replicated_compare(
+            &Runner::new(),
+            &[Benchmark::Nat],
+            &[TrafficLevel::Low.into()],
+            &cfg,
+            2,
+        );
+        assert!(errors.is_empty(), "{errors:?}");
         let text = render_replicated_comparison(&cmp, ConfidenceLevel::P95);
         assert!(text.contains("saving_vs_nodvs"), "{text}");
         assert!(text.contains("noDVS"), "{text}");
@@ -798,7 +831,7 @@ mod tests {
             seed: 5,
             seeds: 2,
         };
-        let (run, errors) = scenario::try_run_scenario(&crate::Runner::new(), &scenario);
+        let (run, errors) = scenario::try_run_scenario(&Runner::new(), &scenario);
         assert!(errors.is_empty());
         let text = render_scenario(&run, ConfidenceLevel::P95);
         assert!(text.starts_with("scenario table-test:"), "{text}");
@@ -813,39 +846,27 @@ mod tests {
 
     #[test]
     fn replicated_spec_and_traffic_tables_label_rows_with_specs() {
-        use crate::replicate::{try_replicated_sweep_specs, try_replicated_sweep_traffics};
-        let runner = crate::Runner::new();
-        let specs: Vec<crate::PolicySpec> = ["nodvs", "queue"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        let cells = crate::experiment::expect_cells(try_replicated_sweep_specs(
-            &runner,
-            Benchmark::Nat,
-            &TrafficLevel::Low.into(),
-            &specs,
-            150_000,
-            1,
-            2,
-        ));
-        let text = render_replicated_spec_sweep(&cells, ConfidenceLevel::P95);
+        let axis = SweepAxis::Policies {
+            traffic: TrafficLevel::Low.into(),
+            policies: ["nodvs", "queue"]
+                .iter()
+                .map(|s| s.parse().unwrap())
+                .collect(),
+        };
+        let cells = replicated_sweep(&axis, Benchmark::Nat);
+        let text = render_replicated_sweep(&axis, &cells, ConfidenceLevel::P95);
         assert!(text.starts_with("policy_spec"), "{text}");
         assert!(text.contains("queue:high="), "{text}");
 
-        let traffics: Vec<TrafficSpec> = ["low", "constant:rate=500"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        let cells = crate::experiment::expect_cells(try_replicated_sweep_traffics(
-            &runner,
-            Benchmark::Nat,
-            &traffics,
-            &crate::PolicySpec::NoDvs,
-            150_000,
-            1,
-            2,
-        ));
-        let text = render_replicated_traffic_sweep(&cells, ConfidenceLevel::P95);
+        let axis = SweepAxis::Traffics {
+            traffics: ["low", "constant:rate=500"]
+                .iter()
+                .map(|s| s.parse().unwrap())
+                .collect(),
+            policy: crate::PolicySpec::NoDvs,
+        };
+        let cells = replicated_sweep(&axis, Benchmark::Nat);
+        let text = render_replicated_sweep(&axis, &cells, ConfidenceLevel::P95);
         assert!(text.starts_with("traffic_spec"), "{text}");
         assert!(text.contains("constant:rate=500"), "{text}");
         assert_eq!(text.lines().count(), 3);
@@ -856,7 +877,7 @@ mod tests {
         let mut config = fleet::FleetConfig::new(3);
         config.cycles = 150_000;
         config.dispatch = "hash:flows=64".parse().unwrap();
-        let outcome = fleet::run_fleet(&config, 2, &crate::Runner::new());
+        let outcome = fleet::run_fleet(&config, 2, &Runner::new());
         assert!(outcome.errors.is_empty());
         let text = render_fleet(&outcome.report, ConfidenceLevel::P95);
         assert!(

@@ -5,18 +5,19 @@
 //! spec-described traffic model alike.
 
 use abdex::compare::{try_compare_policies, ComparisonConfig};
+use abdex::experiment::expect_cells;
 use abdex::fleet::{chip_seed, run_fleet, FleetConfig};
-use abdex::json::{fleet_json, scenario_json};
-use abdex::replicate::{try_replicated_compare, try_replicated_sweep_tdvs};
+use abdex::json::{fleet_json, replicated_sweep_json, scenario_json, sweep_json};
+use abdex::replicate::try_replicated_compare;
 use abdex::scenario::{try_run_scenario, Scenario, ScenarioRun};
-use abdex::sweep::{try_sweep_specs, try_sweep_tdvs, try_sweep_traffics};
+use abdex::sweep::try_sweep_tdvs;
 use abdex::tables::{
-    render_comparison, render_fleet, render_replicated_comparison, render_replicated_sweep,
-    render_scenario, render_spec_sweep, render_sweep, render_traffic_sweep,
+    render_axis_sweep, render_comparison, render_fleet, render_replicated_comparison,
+    render_replicated_sweep, render_scenario, render_sweep,
 };
 use abdex::{
-    ConfidenceLevel, GridCell, JobSpec, PolicyComparison, PolicySpec, ReplicatedComparison,
-    ReplicatedGridCell, Runner, SpecCell, TdvsGrid, TrafficCell, TrafficSpec,
+    run_experiments, run_replicated_experiments, ConfidenceLevel, GridCell, JobSpec,
+    PolicyComparison, PolicySpec, ReplicatedComparison, Runner, SweepAxis, TdvsGrid,
 };
 use nepsim::Benchmark;
 use traffic::TrafficLevel;
@@ -45,71 +46,78 @@ fn tdvs_cells(workers: usize) -> Vec<GridCell> {
     .collect()
 }
 
-#[test]
-fn tdvs_sweep_is_bit_identical_across_worker_counts() {
-    let serial = tdvs_cells(1);
-    for workers in [2, 4] {
-        let parallel = tdvs_cells(workers);
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.threshold_mbps, p.threshold_mbps);
-            assert_eq!(s.window_cycles, p.window_cycles);
-            assert_eq!(
-                s.result.sim.forwarded_packets,
-                p.result.sim.forwarded_packets
-            );
-            assert_eq!(s.result.sim.total_switches, p.result.sim.total_switches);
-            assert_eq!(
-                s.result.p80_power_w().to_bits(),
-                p.result.p80_power_w().to_bits(),
-                "power diverged at {} Mbps / {} cycles with {workers} workers",
-                s.threshold_mbps,
-                s.window_cycles
-            );
-            assert_eq!(
-                s.result.p80_throughput_mbps().to_bits(),
-                p.result.p80_throughput_mbps().to_bits()
-            );
-        }
-        // The rendered table — what the paper's figures are built from —
-        // must be byte-for-byte identical too.
-        assert_eq!(render_sweep(&serial), render_sweep(&parallel));
+/// Every sweep axis the CLI runs. The policy list runs on a model that
+/// did not exist before the traffic API opened, and the traffic list
+/// holds one spec per generator family: determinism must hold for
+/// spec-built generators exactly as for the paper levels.
+fn sweep_axes() -> Vec<SweepAxis> {
+    fn parse<T: std::str::FromStr>(list: &[&str]) -> Vec<T>
+    where
+        T::Err: std::fmt::Debug,
+    {
+        list.iter().map(|s| s.parse().unwrap()).collect()
     }
+    vec![
+        SweepAxis::Tdvs {
+            traffic: TrafficLevel::High.into(),
+            grid: grid(),
+        },
+        SweepAxis::Policies {
+            traffic: "burst:on_mbps=1800,off_mbps=120,period_s=0.002"
+                .parse()
+                .unwrap(),
+            policies: parse(&["nodvs", "tdvs:threshold=1400", "queue", "proportional"]),
+        },
+        SweepAxis::Traffics {
+            traffics: parse(&[
+                "low",
+                "mmpp:rate=900,burstiness=1.3",
+                "burst:on_mbps=1800,off_mbps=120,period_s=0.002",
+                "flash:base_mbps=300,peak_mbps=1500,at_ms=1,ramp_ms=0.5,hold_ms=1",
+                "constant:rate=700",
+            ]),
+            policy: PolicySpec::parse("tdvs:threshold=1200").unwrap(),
+        },
+    ]
 }
 
 #[test]
-fn spec_sweep_is_bit_identical_across_worker_counts() {
-    let specs: Vec<PolicySpec> = ["nodvs", "tdvs:threshold=1400", "queue", "proportional"]
-        .iter()
-        .map(|s| s.parse().unwrap())
-        .collect();
-    let run = |workers: usize| -> Vec<SpecCell> {
-        try_sweep_specs(
-            &Runner::new().with_workers(workers),
-            Benchmark::Ipfwdr,
-            // Run the policy sweep on a model that did not exist before
-            // the traffic API opened: determinism must hold for
-            // spec-built generators exactly as for the paper levels.
-            &"burst:on_mbps=1800,off_mbps=120,period_s=0.002"
-                .parse()
-                .unwrap(),
-            &specs,
-            CYCLES,
-            SEED,
-        )
-        .into_iter()
-        .map(|o| o.expect("no cell failed"))
-        .collect()
+fn every_sweep_axis_is_byte_identical_across_worker_counts() {
+    // The table and the JSON document of every axis, plain and with
+    // `--seeds 2`: the documents carry every metric (and, replicated,
+    // every mean, half-width, spread and range) at full precision, so
+    // equal bytes mean bit-identical results. Parallelism must never
+    // leak into results or into the statistics folded over them.
+    let docs = |axis: &SweepAxis, seeds: u64, workers: usize| -> (String, String) {
+        let runner = Runner::new().with_workers(workers);
+        let experiments = axis.experiments(Benchmark::Ipfwdr, CYCLES, SEED);
+        if seeds > 1 {
+            let level = ConfidenceLevel::P95;
+            let cells = expect_cells(run_replicated_experiments(&runner, experiments, seeds));
+            (
+                render_replicated_sweep(axis, &cells, level),
+                replicated_sweep_json(axis, &cells, seeds, level, &[]),
+            )
+        } else {
+            let results = expect_cells(run_experiments(&runner, experiments));
+            (
+                render_axis_sweep(axis, &results),
+                sweep_json(axis, &results, &[]),
+            )
+        }
     };
-    let serial = run(1);
-    let parallel = run(4);
-    assert_eq!(render_spec_sweep(&serial), render_spec_sweep(&parallel));
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.spec, p.spec);
-        assert_eq!(
-            s.result.sim.mean_power_w().to_bits(),
-            p.result.sim.mean_power_w().to_bits()
-        );
+    for axis in sweep_axes() {
+        for seeds in [1, 2] {
+            let serial = docs(&axis, seeds, 1);
+            for workers in [2, 4] {
+                assert_eq!(
+                    serial,
+                    docs(&axis, seeds, workers),
+                    "{} sweep with {seeds} seed(s) diverged on {workers} workers",
+                    axis.name()
+                );
+            }
+        }
     }
 }
 
@@ -139,116 +147,6 @@ fn comparison_is_bit_identical_across_worker_counts() {
         assert_eq!(
             s.result.sim.total_energy_uj().to_bits(),
             p.result.sim.total_energy_uj().to_bits()
-        );
-    }
-}
-
-#[test]
-fn traffic_sweep_is_bit_identical_across_worker_counts() {
-    // One spec per generator family, including every model added by the
-    // open traffic API.
-    let traffics: Vec<TrafficSpec> = [
-        "low",
-        "mmpp:rate=900,burstiness=1.3",
-        "burst:on_mbps=1800,off_mbps=120,period_s=0.002",
-        "flash:base_mbps=300,peak_mbps=1500,at_ms=1,ramp_ms=0.5,hold_ms=1",
-        "constant:rate=700",
-    ]
-    .iter()
-    .map(|s| s.parse().unwrap())
-    .collect();
-    let run = |workers: usize| -> Vec<TrafficCell> {
-        try_sweep_traffics(
-            &Runner::new().with_workers(workers),
-            Benchmark::Ipfwdr,
-            &traffics,
-            &PolicySpec::parse("tdvs:threshold=1200").unwrap(),
-            CYCLES,
-            SEED,
-        )
-        .into_iter()
-        .map(|o| o.expect("no cell failed"))
-        .collect()
-    };
-    let serial = run(1);
-    let parallel = run(4);
-    assert_eq!(
-        render_traffic_sweep(&serial),
-        render_traffic_sweep(&parallel)
-    );
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.spec, p.spec);
-        assert_eq!(
-            s.result.sim.forwarded_packets, p.result.sim.forwarded_packets,
-            "{} diverged",
-            s.spec
-        );
-        assert_eq!(
-            s.result.sim.total_energy_uj().to_bits(),
-            p.result.sim.total_energy_uj().to_bits(),
-            "{} diverged",
-            s.spec
-        );
-    }
-}
-
-#[test]
-fn replicated_tdvs_sweep_is_bit_identical_across_worker_counts() {
-    // The PR-4 contract: a k-seed replicated grid folds per-cell means
-    // and confidence half-widths that are bit-identical for any worker
-    // count — parallelism must not leak into the statistics any more
-    // than into a single run.
-    let seeds = 3;
-    let run = |workers: usize| -> Vec<ReplicatedGridCell> {
-        try_replicated_sweep_tdvs(
-            &Runner::new().with_workers(workers),
-            Benchmark::Ipfwdr,
-            &TrafficLevel::High.into(),
-            &grid(),
-            CYCLES,
-            SEED,
-            seeds,
-        )
-        .into_iter()
-        .map(|o| o.expect("no cell failed"))
-        .collect()
-    };
-    let serial = run(1);
-    for workers in [2, 5] {
-        let parallel = run(workers);
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.threshold_mbps, p.threshold_mbps);
-            assert_eq!(s.window_cycles, p.window_cycles);
-            assert_eq!(s.result.replicates(), seeds);
-            for ((name, ss), (_, ps)) in s
-                .result
-                .metrics
-                .fields()
-                .iter()
-                .zip(p.result.metrics.fields())
-            {
-                assert_eq!(
-                    ss.mean().to_bits(),
-                    ps.mean().to_bits(),
-                    "{name} mean diverged at {} Mbps / {} cycles with {workers} workers",
-                    s.threshold_mbps,
-                    s.window_cycles
-                );
-                for level in ConfidenceLevel::ALL {
-                    assert_eq!(
-                        ss.half_width(level).to_bits(),
-                        ps.half_width(level).to_bits(),
-                        "{name} {level} half-width diverged with {workers} workers"
-                    );
-                }
-                assert_eq!(ss.min().to_bits(), ps.min().to_bits());
-                assert_eq!(ss.max().to_bits(), ps.max().to_bits());
-            }
-        }
-        assert_eq!(
-            render_replicated_sweep(&serial, ConfidenceLevel::P95),
-            render_replicated_sweep(&parallel, ConfidenceLevel::P95)
         );
     }
 }
