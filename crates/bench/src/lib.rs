@@ -1,5 +1,4 @@
-//! Shared plumbing for the figure-regeneration binaries and Criterion
-//! benches.
+//! Shared plumbing for the figure-regeneration binaries.
 //!
 //! Every `fig*` binary accepts an optional first argument: the number of
 //! base-clock cycles to simulate per configuration (default: the paper's

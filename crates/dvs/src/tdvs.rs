@@ -105,8 +105,8 @@ impl Tdvs {
     ///
     /// The paper's rule is the `h = 0` case; §4.1 observes that it
     /// oscillates and burns 6000-cycle penalties at small window sizes.
-    /// This variant is the natural fix and is exercised by the ablation
-    /// benches.
+    /// This variant is the natural fix and is exercised by the
+    /// `abl_tdvs_hysteresis` ablation.
     ///
     /// # Panics
     ///
