@@ -659,3 +659,34 @@ fn profiling_is_pure_observation_and_summaries_are_jobs_invariant() {
     assert_eq!(serial, doc(4), "obs_summary diverged across workers");
     assert!(serial.contains("\"kind\":\"obs_summary\""));
 }
+
+#[test]
+fn armed_profile_has_one_simulate_span_per_job_at_any_worker_count() {
+    // A profile must account for every job at any `--jobs`: each worker
+    // publishes its spans when its outermost span closes, before the
+    // batch returns. The profiler is process-global and the other tests
+    // here simulate concurrently, so the count is taken from separate
+    // CLI processes.
+    let dir = std::env::temp_dir().join(format!("abdex-prof-jobs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let jobs = TdvsGrid::default().len();
+    for workers in [1, 2, 4, 8] {
+        let trace = dir.join(format!("jobs{workers}.json"));
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_abdex"))
+            .args(["sweep", "--cycles", "100000", "--no-cache", "--jobs"])
+            .arg(workers.to_string())
+            .arg("--profile")
+            .arg(&trace)
+            .stdout(std::process::Stdio::null())
+            .status()
+            .expect("abdex runs");
+        assert!(status.success(), "sweep --jobs {workers} failed");
+        let doc = std::fs::read_to_string(&trace).expect("trace written");
+        assert_eq!(
+            doc.matches("\"name\":\"simulate\"").count(),
+            jobs,
+            "simulate spans at --jobs {workers}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -4,10 +4,11 @@
 //! Host-side wall-time attribution for the whole pipeline: callers open
 //! RAII [`SpanGuard`]s ([`span`]) around phases ("parse", "simulate",
 //! "fold", ...), guards nest on a thread-local stack, and every thread
-//! buffers its closed spans locally. Buffers flush into a process
-//! global when their thread exits (the `xrun` workers are scoped, so
-//! they are gone before a batch returns) and [`drain`] merges them into
-//! a [`Profile`] that renders as
+//! buffers its closed spans locally. A buffer flushes into a process
+//! global as soon as its thread's outermost span closes — inside the
+//! worker's own work, so a batch's spans are all in the global before
+//! the batch returns, however its threads are joined — and [`drain`]
+//! merges them into a [`Profile`] that renders as
 //!
 //! * **Chrome Trace Event Format JSON** ([`Profile::chrome_trace_json`])
 //!   — complete `"ph":"X"` events with `pid`/`tid`/`ts`/`dur` in
@@ -49,7 +50,7 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Closed spans flushed from exited threads plus all counter samples.
+/// Closed spans flushed from every thread plus all counter samples.
 struct Global {
     spans: Vec<SpanRec>,
     counters: Vec<CounterRec>,
@@ -79,7 +80,7 @@ struct OpenSpan {
 }
 
 /// Per-thread buffer: the open-span stack and the closed spans waiting
-/// to be flushed. Flushes itself into [`Global`] when the thread exits.
+/// to be flushed. Flushes into [`Global`] when the stack empties.
 struct ThreadBuf {
     tid: u64,
     stack: Vec<OpenSpan>,
@@ -101,12 +102,6 @@ impl ThreadBuf {
         }
         let mut g = global().lock().expect("profiler registry poisoned");
         g.spans.append(&mut self.done);
-    }
-}
-
-impl Drop for ThreadBuf {
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
@@ -208,6 +203,12 @@ impl Drop for SpanGuard {
                 dur_us,
                 self_us,
             });
+            // The outermost span closed: publish now, while the thread
+            // is still inside its work. A thread-local destructor could
+            // run after a scope's join (and after `drain`) and lose them.
+            if b.stack.is_empty() {
+                b.flush();
+            }
         });
     }
 }
@@ -260,8 +261,9 @@ pub fn count(name: &str, delta: f64) {
 
 /// Flushes the calling thread's buffer and takes every recorded event
 /// process-wide, leaving the profiler empty (still-open spans survive
-/// and land in a later drain). Worker threads flush automatically on
-/// exit; call this from the thread that owns process shutdown.
+/// and land in a later drain). Every thread flushes on its own when
+/// its outermost span closes; call this from the thread that owns
+/// process shutdown.
 #[must_use]
 pub fn drain() -> Profile {
     BUF.with(|b| b.borrow_mut().flush());
