@@ -46,11 +46,12 @@ impl TdvsGrid {
     }
 }
 
-/// What a sweep varies, holding only the coordinates that axis keeps
-/// fixed: every sweep — the paper's TDVS grid, a policy list or a
-/// traffic list, plain or replicated — is one [`SweepAxis`] lowered by
-/// [`SweepAxis::experiments`] and run through
-/// [`run_experiments`] or [`crate::run_replicated_experiments`].
+/// What a sweep varies, plus the coordinates that axis holds fixed.
+///
+/// Every sweep — the paper's TDVS grid, a policy list or a traffic
+/// list, plain or replicated — is one `SweepAxis`.
+/// [`SweepAxis::experiments`] lowers it, and [`run_experiments`] or
+/// [`crate::run_replicated_experiments`] runs it.
 ///
 /// The swept coordinate of every cell stays readable from its
 /// [`Experiment`]: the TDVS threshold and window from `policy` (see
