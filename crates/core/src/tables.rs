@@ -147,26 +147,21 @@ fn tdvs_table<'a>(cells: impl Iterator<Item = (f64, u64, &'a ExperimentResult)>)
     out
 }
 
-/// The width of a spec-labelled first column: the longest label, at
-/// least as wide as its header.
-fn label_width<'a>(labels: impl Iterator<Item = &'a str>, header: &str) -> usize {
-    labels.map(str::len).max().unwrap_or(0).max(header.len())
-}
-
 fn spec_table(results: &[ExperimentResult]) -> String {
-    let labels: Vec<String> = results
+    let label_width = results
         .iter()
-        .map(|r| r.experiment.policy.spec_string())
-        .collect();
-    let label_width = label_width(labels.iter().map(String::as_str), "policy_spec");
+        .map(|r| r.experiment.policy.spec_string().len())
+        .max()
+        .unwrap_or(0)
+        .max("policy_spec".len());
     let mut out = format!(
         "{:<label_width$} {:>6} {:>12} {:>11} {:>13} {:>8}\n",
         "policy_spec", "kind", "mean_power_w", "p80_power_w", "p80_tput_mbps", "switches"
     );
-    for (r, label) in results.iter().zip(&labels) {
+    for r in results {
         out.push_str(&format!(
             "{:<label_width$} {:>6} {:>12.3} {:>11.3} {:>13.1} {:>8}\n",
-            label,
+            r.experiment.policy.spec_string(),
             r.experiment.policy.kind().to_string(),
             r.sim.mean_power_w(),
             r.p80_power_w(),
@@ -178,19 +173,20 @@ fn spec_table(results: &[ExperimentResult]) -> String {
 }
 
 fn traffic_table(results: &[ExperimentResult]) -> String {
-    let labels: Vec<String> = results
+    let label_width = results
         .iter()
-        .map(|r| r.experiment.traffic.spec_string())
-        .collect();
-    let label_width = label_width(labels.iter().map(String::as_str), "traffic_spec");
+        .map(|r| r.experiment.traffic.spec_string().len())
+        .max()
+        .unwrap_or(0)
+        .max("traffic_spec".len());
     let mut out = format!(
         "{:<label_width$} {:>12} {:>12} {:>12} {:>10} {:>8}\n",
         "traffic_spec", "offered_mbps", "tput_mbps", "mean_power_w", "loss_ratio", "switches"
     );
-    for (r, label) in results.iter().zip(&labels) {
+    for r in results {
         out.push_str(&format!(
             "{:<label_width$} {:>12.1} {:>12.1} {:>12.3} {:>10.4} {:>8}\n",
-            label,
+            r.experiment.traffic.spec_string(),
             r.sim.offered_mbps(),
             r.sim.throughput_mbps(),
             r.sim.mean_power_w(),
@@ -278,20 +274,21 @@ fn replicated_tdvs_table(results: &[ReplicatedResult], level: ConfidenceLevel) -
 }
 
 fn replicated_spec_table(results: &[ReplicatedResult], level: ConfidenceLevel) -> String {
-    let labels: Vec<String> = results
+    let label_width = results
         .iter()
-        .map(|r| r.experiment.policy.spec_string())
-        .collect();
-    let label_width = label_width(labels.iter().map(String::as_str), "policy_spec");
+        .map(|r| r.experiment.policy.spec_string().len())
+        .max()
+        .unwrap_or(0)
+        .max("policy_spec".len());
     let mut out = format!(
         "{:<label_width$} {:>15} {:>15} {:>17} {:>13}\n",
         "policy_spec", "mean_power_w", "p80_power_w", "p80_tput_mbps", "switches"
     );
-    for (r, label) in results.iter().zip(&labels) {
+    for r in results {
         let m = &r.metrics;
         out.push_str(&format!(
             "{:<label_width$} {:>15} {:>15} {:>17} {:>13}\n",
-            label,
+            r.experiment.policy.spec_string(),
             pm(&m.mean_power_w, level, 3),
             pm(&m.p80_power_w, level, 3),
             pm(&m.p80_throughput_mbps, level, 1),
@@ -302,20 +299,21 @@ fn replicated_spec_table(results: &[ReplicatedResult], level: ConfidenceLevel) -
 }
 
 fn replicated_traffic_table(results: &[ReplicatedResult], level: ConfidenceLevel) -> String {
-    let labels: Vec<String> = results
+    let label_width = results
         .iter()
-        .map(|r| r.experiment.traffic.spec_string())
-        .collect();
-    let label_width = label_width(labels.iter().map(String::as_str), "traffic_spec");
+        .map(|r| r.experiment.traffic.spec_string().len())
+        .max()
+        .unwrap_or(0)
+        .max("traffic_spec".len());
     let mut out = format!(
         "{:<label_width$} {:>15} {:>15} {:>15} {:>15}\n",
         "traffic_spec", "offered_mbps", "tput_mbps", "mean_power_w", "loss_ratio"
     );
-    for (r, label) in results.iter().zip(&labels) {
+    for r in results {
         let m = &r.metrics;
         out.push_str(&format!(
             "{:<label_width$} {:>15} {:>15} {:>15} {:>15}\n",
-            label,
+            r.experiment.traffic.spec_string(),
             pm(&m.offered_mbps, level, 1),
             pm(&m.throughput_mbps, level, 1),
             pm(&m.mean_power_w, level, 3),
