@@ -56,39 +56,6 @@ impl TdvsGrid {
 /// The swept coordinate of every cell stays readable from its
 /// [`Experiment`]: the TDVS threshold and window from `policy` (see
 /// [`tdvs_coordinates`]), the swept spec from `policy` or `traffic`.
-///
-/// # Example
-///
-/// ```
-/// use abdex::{run_experiments, PolicySpec, Runner, SweepAxis};
-/// use abdex::experiment::expect_cells;
-/// use abdex::nepsim::Benchmark;
-/// use abdex::traffic::{TrafficLevel, TrafficSpec};
-///
-/// let axis = SweepAxis::Policies {
-///     traffic: TrafficLevel::High.into(),
-///     policies: ["nodvs", "queue:high=0.9", "proportional"]
-///         .iter()
-///         .map(|s| s.parse().unwrap())
-///         .collect(),
-/// };
-/// let results = expect_cells(run_experiments(
-///     &Runner::new(),
-///     axis.experiments(Benchmark::Ipfwdr, 200_000, 1),
-/// ));
-/// assert_eq!(results.len(), 3);
-/// assert!(results[1].experiment.policy.spec_string().starts_with("queue:high=0.9"));
-///
-/// let axis = SweepAxis::Traffics {
-///     traffics: ["low", "burst:period_s=0.001", "flash"]
-///         .iter()
-///         .map(|s| s.parse().unwrap())
-///         .collect(),
-///     policy: PolicySpec::NoDvs,
-/// };
-/// let experiments = axis.experiments(Benchmark::Ipfwdr, 200_000, 1);
-/// assert_eq!(experiments[2].traffic, "flash".parse::<TrafficSpec>().unwrap());
-/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub enum SweepAxis {
     /// The paper's TDVS threshold × window grid (§4.1, Figs 6–9) at one
@@ -102,6 +69,29 @@ pub enum SweepAxis {
     /// One cell per policy spec — every registered policy, and every
     /// parameter combination expressible as a spec — at one traffic
     /// spec.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use abdex::{run_experiments, Runner, SweepAxis};
+    /// use abdex::experiment::expect_cells;
+    /// use abdex::nepsim::Benchmark;
+    /// use abdex::traffic::TrafficLevel;
+    ///
+    /// let axis = SweepAxis::Policies {
+    ///     traffic: TrafficLevel::High.into(),
+    ///     policies: ["nodvs", "queue:high=0.9", "proportional"]
+    ///         .iter()
+    ///         .map(|s| s.parse().unwrap())
+    ///         .collect(),
+    /// };
+    /// let results = expect_cells(run_experiments(
+    ///     &Runner::new(),
+    ///     axis.experiments(Benchmark::Ipfwdr, 200_000, 1),
+    /// ));
+    /// assert_eq!(results.len(), 3);
+    /// assert!(results[1].experiment.policy.spec_string().starts_with("queue:high=0.9"));
+    /// ```
     Policies {
         /// The traffic every cell runs.
         traffic: TrafficSpec,
@@ -110,6 +100,24 @@ pub enum SweepAxis {
     },
     /// One cell per traffic spec under one policy: the traffic axis,
     /// open to every registered model.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use abdex::{PolicySpec, SweepAxis};
+    /// use abdex::nepsim::Benchmark;
+    /// use abdex::traffic::TrafficSpec;
+    ///
+    /// let axis = SweepAxis::Traffics {
+    ///     traffics: ["low", "burst:period_s=0.001", "flash"]
+    ///         .iter()
+    ///         .map(|s| s.parse().unwrap())
+    ///         .collect(),
+    ///     policy: PolicySpec::NoDvs,
+    /// };
+    /// let experiments = axis.experiments(Benchmark::Ipfwdr, 200_000, 1);
+    /// assert_eq!(experiments[2].traffic, "flash".parse::<TrafficSpec>().unwrap());
+    /// ```
     Traffics {
         /// The swept traffic specs, in cell order.
         traffics: Vec<TrafficSpec>,

@@ -46,49 +46,28 @@ fn tdvs_cells(workers: usize) -> Vec<GridCell> {
     .collect()
 }
 
-/// Every sweep axis the CLI runs. The policy list runs on a model that
-/// did not exist before the traffic API opened, and the traffic list
-/// holds one spec per generator family: determinism must hold for
-/// spec-built generators exactly as for the paper levels.
-fn sweep_axes() -> Vec<SweepAxis> {
-    fn parse<T: std::str::FromStr>(list: &[&str]) -> Vec<T>
-    where
-        T::Err: std::fmt::Debug,
-    {
-        list.iter().map(|s| s.parse().unwrap()).collect()
+fn tdvs_axis() -> SweepAxis {
+    SweepAxis::Tdvs {
+        traffic: TrafficLevel::High.into(),
+        grid: grid(),
     }
-    vec![
-        SweepAxis::Tdvs {
-            traffic: TrafficLevel::High.into(),
-            grid: grid(),
-        },
-        SweepAxis::Policies {
-            traffic: "burst:on_mbps=1800,off_mbps=120,period_s=0.002"
-                .parse()
-                .unwrap(),
-            policies: parse(&["nodvs", "tdvs:threshold=1400", "queue", "proportional"]),
-        },
-        SweepAxis::Traffics {
-            traffics: parse(&[
-                "low",
-                "mmpp:rate=900,burstiness=1.3",
-                "burst:on_mbps=1800,off_mbps=120,period_s=0.002",
-                "flash:base_mbps=300,peak_mbps=1500,at_ms=1,ramp_ms=0.5,hold_ms=1",
-                "constant:rate=700",
-            ]),
-            policy: PolicySpec::parse("tdvs:threshold=1200").unwrap(),
-        },
-    ]
 }
 
-#[test]
-fn every_sweep_axis_is_byte_identical_across_worker_counts() {
-    // The table and the JSON document of every axis, plain and with
-    // `--seeds 2`: the documents carry every metric (and, replicated,
-    // every mean, half-width, spread and range) at full precision, so
-    // equal bytes mean bit-identical results. Parallelism must never
-    // leak into results or into the statistics folded over them.
-    let docs = |axis: &SweepAxis, seeds: u64, workers: usize| -> (String, String) {
+fn parse_list<T: std::str::FromStr>(list: &[&str]) -> Vec<T>
+where
+    T::Err: std::fmt::Debug,
+{
+    list.iter().map(|s| s.parse().unwrap()).collect()
+}
+
+/// Asserts that the table and the JSON document of `axis`, for each
+/// seed count in `seed_counts`, are byte-identical on 1, 2 and 4
+/// workers. The documents carry every metric (and, replicated, every
+/// mean, half-width, spread and range) at full precision, so equal
+/// bytes mean bit-identical results. Parallelism must never leak into
+/// results or into the statistics folded over them.
+fn assert_axis_is_byte_identical_across_worker_counts(axis: &SweepAxis, seed_counts: &[u64]) {
+    let docs = |seeds: u64, workers: usize| -> (String, String) {
         let runner = Runner::new().with_workers(workers);
         let experiments = axis.experiments(Benchmark::Ipfwdr, CYCLES, SEED);
         if seeds > 1 {
@@ -106,19 +85,58 @@ fn every_sweep_axis_is_byte_identical_across_worker_counts() {
             )
         }
     };
-    for axis in sweep_axes() {
-        for seeds in [1, 2] {
-            let serial = docs(&axis, seeds, 1);
-            for workers in [2, 4] {
-                assert_eq!(
-                    serial,
-                    docs(&axis, seeds, workers),
-                    "{} sweep with {seeds} seed(s) diverged on {workers} workers",
-                    axis.name()
-                );
-            }
+    for &seeds in seed_counts {
+        let serial = docs(seeds, 1);
+        for workers in [2, 4] {
+            assert_eq!(
+                serial,
+                docs(seeds, workers),
+                "{} sweep with {seeds} seed(s) diverged on {workers} workers",
+                axis.name()
+            );
         }
     }
+}
+
+#[test]
+fn tdvs_sweep_is_bit_identical_across_worker_counts() {
+    assert_axis_is_byte_identical_across_worker_counts(&tdvs_axis(), &[1]);
+}
+
+#[test]
+fn replicated_tdvs_sweep_is_bit_identical_across_worker_counts() {
+    assert_axis_is_byte_identical_across_worker_counts(&tdvs_axis(), &[2]);
+}
+
+#[test]
+fn spec_sweep_is_bit_identical_across_worker_counts() {
+    // Run the policy sweep on a model that did not exist before the
+    // traffic API opened: determinism must hold for spec-built
+    // generators exactly as for the paper levels.
+    let axis = SweepAxis::Policies {
+        traffic: "burst:on_mbps=1800,off_mbps=120,period_s=0.002"
+            .parse()
+            .unwrap(),
+        policies: parse_list(&["nodvs", "tdvs:threshold=1400", "queue", "proportional"]),
+    };
+    assert_axis_is_byte_identical_across_worker_counts(&axis, &[1, 2]);
+}
+
+#[test]
+fn traffic_sweep_is_bit_identical_across_worker_counts() {
+    // One spec per generator family, including every model added by the
+    // open traffic API.
+    let axis = SweepAxis::Traffics {
+        traffics: parse_list(&[
+            "low",
+            "mmpp:rate=900,burstiness=1.3",
+            "burst:on_mbps=1800,off_mbps=120,period_s=0.002",
+            "flash:base_mbps=300,peak_mbps=1500,at_ms=1,ramp_ms=0.5,hold_ms=1",
+            "constant:rate=700",
+        ]),
+        policy: PolicySpec::parse("tdvs:threshold=1200").unwrap(),
+    };
+    assert_axis_is_byte_identical_across_worker_counts(&axis, &[1, 2]);
 }
 
 #[test]
