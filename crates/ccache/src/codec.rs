@@ -18,27 +18,10 @@ use dvs::PolicyKind;
 use nepsim::{MeMode, MeReport, MeRole, ModeAcc, SimReport, WindowIdleSample};
 use obs::{Channel, KernelCounters, Recording, Sample};
 
-use crate::json::{escape, num_f64, Value};
+use kvspec::json::{array, escape, num_f64, Obj, Value};
 
 /// The payload-format version embedded in every composed payload.
 pub const PAYLOAD_VERSION: u64 = 1;
-
-/// Builds a JSON object from pre-rendered member values.
-#[must_use]
-pub fn obj(fields: &[(&str, String)]) -> String {
-    let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
-    format!("{{{}}}", body.join(","))
-}
-
-/// Builds a JSON array from pre-rendered items.
-#[must_use]
-pub fn arr(items: Vec<String>) -> String {
-    format!("[{}]", items.join(","))
-}
-
-fn policy_kind_str(kind: PolicyKind) -> String {
-    format!("\"{kind}\"")
-}
 
 /// Reverses [`PolicyKind`]'s `Display` strings.
 #[must_use]
@@ -56,10 +39,10 @@ pub fn policy_kind_from_str(name: &str) -> Option<PolicyKind> {
     .find(|k| k.to_string() == name)
 }
 
-fn role_json(role: MeRole) -> &'static str {
+fn role_name(role: MeRole) -> &'static str {
     match role {
-        MeRole::Rx => "\"rx\"",
-        MeRole::Tx => "\"tx\"",
+        MeRole::Rx => "rx",
+        MeRole::Tx => "tx",
     }
 }
 
@@ -72,10 +55,11 @@ fn role_from_str(name: &str) -> Option<MeRole> {
 }
 
 fn mode_acc_json(acc: &ModeAcc) -> String {
-    arr(MeMode::ALL
-        .iter()
-        .map(|&mode| acc.get(mode).as_ps().to_string())
-        .collect())
+    array(
+        MeMode::ALL
+            .iter()
+            .map(|&mode| acc.get(mode).as_ps().to_string()),
+    )
 }
 
 fn mode_acc_from_value(v: &Value) -> Option<ModeAcc> {
@@ -91,22 +75,18 @@ fn mode_acc_from_value(v: &Value) -> Option<ModeAcc> {
 }
 
 fn me_report_json(me: &MeReport) -> String {
-    obj(&[
-        ("role", role_json(me.role).to_owned()),
-        ("acc_ps", mode_acc_json(&me.acc)),
-        ("energy_uj", num_f64(me.energy_uj)),
-        ("switches", me.switches.to_string()),
-        ("final_level", me.final_level.to_string()),
-        ("packets_done", me.packets_done.to_string()),
-        (
+    Obj::new()
+        .str("role", role_name(me.role))
+        .raw("acc_ps", &mode_acc_json(&me.acc))
+        .num("energy_uj", me.energy_uj)
+        .int("switches", me.switches)
+        .int("final_level", me.final_level as u64)
+        .int("packets_done", me.packets_done)
+        .raw(
             "level_time_ps",
-            arr(me
-                .level_time
-                .iter()
-                .map(|t| t.as_ps().to_string())
-                .collect()),
-        ),
-    ])
+            &array(me.level_time.iter().map(|t| t.as_ps().to_string())),
+        )
+        .finish()
 }
 
 fn me_report_from_value(v: &Value) -> Option<MeReport> {
@@ -127,10 +107,10 @@ fn me_report_from_value(v: &Value) -> Option<MeReport> {
 
 fn window_idle_json(w: &WindowIdleSample) -> String {
     format!(
-        "[{},{},{},{}]",
+        "[{},{},\"{}\",{}]",
         w.window,
         w.me,
-        role_json(w.role),
+        role_name(w.role),
         num_f64(w.idle)
     )
 }
@@ -151,39 +131,39 @@ fn window_idle_from_value(v: &Value) -> Option<WindowIdleSample> {
 /// A [`SimReport`] as a JSON object.
 #[must_use]
 pub fn sim_report_json(r: &SimReport) -> String {
-    obj(&[
-        ("policy", policy_kind_str(r.policy)),
-        ("duration_ps", r.duration.as_ps().to_string()),
-        ("arrived_packets", r.arrived_packets.to_string()),
-        ("arrived_bits", r.arrived_bits.to_string()),
-        ("dropped_packets", r.dropped_packets.to_string()),
-        ("dropped_tx_packets", r.dropped_tx_packets.to_string()),
-        ("forwarded_packets", r.forwarded_packets.to_string()),
-        ("forwarded_bits", r.forwarded_bits.to_string()),
-        ("mes", arr(r.mes.iter().map(me_report_json).collect())),
-        ("me_energy_uj", num_f64(r.me_energy_uj)),
-        ("sram_energy_uj", num_f64(r.sram_energy_uj)),
-        ("sdram_energy_uj", num_f64(r.sdram_energy_uj)),
-        ("static_energy_uj", num_f64(r.static_energy_uj)),
-        ("monitor_energy_uj", num_f64(r.monitor_energy_uj)),
-        ("sram_accesses", r.sram_accesses.to_string()),
-        ("sdram_accesses", r.sdram_accesses.to_string()),
-        ("total_switches", r.total_switches.to_string()),
-        ("windows", r.windows.to_string()),
-        ("bus_bits", r.bus_bits.to_string()),
-        ("bus_rate_mbps", num_f64(r.bus_rate_mbps)),
-        (
+    Obj::new()
+        .str("policy", &r.policy.to_string())
+        .int("duration_ps", r.duration.as_ps())
+        .int("arrived_packets", r.arrived_packets)
+        .int("arrived_bits", r.arrived_bits)
+        .int("dropped_packets", r.dropped_packets)
+        .int("dropped_tx_packets", r.dropped_tx_packets)
+        .int("forwarded_packets", r.forwarded_packets)
+        .int("forwarded_bits", r.forwarded_bits)
+        .raw("mes", &array(r.mes.iter().map(me_report_json)))
+        .num("me_energy_uj", r.me_energy_uj)
+        .num("sram_energy_uj", r.sram_energy_uj)
+        .num("sdram_energy_uj", r.sdram_energy_uj)
+        .num("static_energy_uj", r.static_energy_uj)
+        .num("monitor_energy_uj", r.monitor_energy_uj)
+        .int("sram_accesses", r.sram_accesses)
+        .int("sdram_accesses", r.sdram_accesses)
+        .int("total_switches", r.total_switches)
+        .int("windows", r.windows)
+        .int("bus_bits", r.bus_bits)
+        .num("bus_rate_mbps", r.bus_rate_mbps)
+        .raw(
             "kernel",
-            format!(
+            &format!(
                 "[{},{},{}]",
                 r.kernel.events_scheduled, r.kernel.events_processed, r.kernel.peak_heap_len
             ),
-        ),
-        (
+        )
+        .raw(
             "window_idle",
-            arr(r.window_idle.iter().map(window_idle_json).collect()),
-        ),
-    ])
+            &array(r.window_idle.iter().map(window_idle_json)),
+        )
+        .finish()
 }
 
 /// Decodes [`sim_report_json`]'s object.
@@ -235,19 +215,15 @@ pub fn sim_report_from_value(v: &Value) -> Option<SimReport> {
 /// `[channel, cycle, value]` triples.
 #[must_use]
 pub fn recording_json(rec: &Recording) -> String {
-    let samples: Vec<String> = rec
-        .samples()
-        .iter()
-        .map(|s| {
-            format!(
-                "[\"{}\",{},{}]",
-                escape(s.channel.name()),
-                s.cycle,
-                num_f64(s.value)
-            )
-        })
-        .collect();
-    obj(&[("samples", arr(samples))])
+    let samples = rec.samples().iter().map(|s| {
+        format!(
+            "[\"{}\",{},{}]",
+            escape(s.channel.name()),
+            s.cycle,
+            num_f64(s.value)
+        )
+    });
+    Obj::new().raw("samples", &array(samples)).finish()
 }
 
 /// Decodes [`recording_json`]'s object.
@@ -279,13 +255,10 @@ fn versioned(v: &Value) -> Option<&Value> {
 /// [`SimReport`] at each planned boundary.
 #[must_use]
 pub fn snapshots_payload(snapshots: &[SimReport]) -> String {
-    obj(&[
-        ("v", PAYLOAD_VERSION.to_string()),
-        (
-            "snapshots",
-            arr(snapshots.iter().map(sim_report_json).collect()),
-        ),
-    ])
+    Obj::new()
+        .int("v", PAYLOAD_VERSION)
+        .raw("snapshots", &array(snapshots.iter().map(sim_report_json)))
+        .finish()
 }
 
 /// Decodes [`snapshots_payload`].
@@ -303,11 +276,11 @@ pub fn parse_snapshots(payload: &str) -> Option<Vec<SimReport>> {
 /// recording its folds absorb.
 #[must_use]
 pub fn recorded_payload(report: &SimReport, recording: &Recording) -> String {
-    obj(&[
-        ("v", PAYLOAD_VERSION.to_string()),
-        ("sim", sim_report_json(report)),
-        ("rec", recording_json(recording)),
-    ])
+    Obj::new()
+        .int("v", PAYLOAD_VERSION)
+        .raw("sim", &sim_report_json(report))
+        .raw("rec", &recording_json(recording))
+        .finish()
 }
 
 /// Decodes [`recorded_payload`].

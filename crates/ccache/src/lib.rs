@@ -25,7 +25,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod codec;
-pub mod json;
 mod key;
 mod store;
 

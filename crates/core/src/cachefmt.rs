@@ -15,9 +15,9 @@
 //! the CLI's single-run path go through it, so hit/miss accounting and
 //! fallback semantics live in exactly one place.
 
-use ccache::codec::{self, arr, obj};
-use ccache::json::{num_f64, Value};
+use ccache::codec;
 use ccache::Cache;
+use kvspec::json::{array, num_f64, Obj, Value};
 use loc::{DistParts, DistRel, DistributionReport};
 
 use crate::experiment::{Experiment, ExperimentResult};
@@ -30,13 +30,12 @@ pub fn experiment_key(e: &Experiment) -> String {
     format!("cell|{}", e.label())
 }
 
-fn rel_json(rel: DistRel) -> String {
+fn rel_name(rel: DistRel) -> &'static str {
     match rel {
-        DistRel::Eq => "\"eq\"",
-        DistRel::Le => "\"le\"",
-        DistRel::Ge => "\"ge\"",
+        DistRel::Eq => "eq",
+        DistRel::Le => "le",
+        DistRel::Ge => "ge",
     }
-    .to_owned()
 }
 
 fn rel_from_str(name: &str) -> Option<DistRel> {
@@ -50,22 +49,19 @@ fn rel_from_str(name: &str) -> Option<DistRel> {
 
 fn dist_json(report: &DistributionReport) -> String {
     let parts = report.to_parts();
-    obj(&[
-        ("rel", rel_json(parts.rel)),
-        ("min", num_f64(parts.min)),
-        ("max", num_f64(parts.max)),
-        ("step", num_f64(parts.step)),
-        (
-            "counts",
-            arr(parts.counts.iter().map(u64::to_string).collect()),
-        ),
-        (
+    Obj::new()
+        .str("rel", rel_name(parts.rel))
+        .num("min", parts.min)
+        .num("max", parts.max)
+        .num("step", parts.step)
+        .raw("counts", &array(parts.counts.iter().map(u64::to_string)))
+        .raw(
             "values",
-            arr(parts.sorted_values.iter().copied().map(num_f64).collect()),
-        ),
-        ("nan", parts.nan_count.to_string()),
-        ("total", parts.total.to_string()),
-    ])
+            &array(parts.sorted_values.iter().copied().map(num_f64)),
+        )
+        .int("nan", parts.nan_count)
+        .int("total", parts.total)
+        .finish()
 }
 
 fn dist_from_value(v: &Value) -> Option<DistributionReport> {
@@ -92,12 +88,12 @@ fn dist_from_value(v: &Value) -> Option<DistributionReport> {
 /// Encodes a result's computed pieces as a cache payload.
 #[must_use]
 pub fn encode_result(r: &ExperimentResult) -> String {
-    obj(&[
-        ("v", codec::PAYLOAD_VERSION.to_string()),
-        ("sim", codec::sim_report_json(&r.sim)),
-        ("power", dist_json(&r.power)),
-        ("throughput", dist_json(&r.throughput)),
-    ])
+    Obj::new()
+        .int("v", codec::PAYLOAD_VERSION)
+        .raw("sim", &codec::sim_report_json(&r.sim))
+        .raw("power", &dist_json(&r.power))
+        .raw("throughput", &dist_json(&r.throughput))
+        .finish()
 }
 
 /// Decodes a payload back into the result of `experiment`; `None` on

@@ -1,11 +1,12 @@
-//! Hand-rolled JSON output for experiment results.
+//! JSON output for experiment results.
 //!
-//! This module writes the JSON the `abdex ... --json <path>` flag emits
-//! by hand. The schema is flat and stable: every document has a
+//! This module renders the JSON the `abdex ... --json <path>` flag
+//! emits, through the workspace's one writer ([`kvspec::json`]). The schema is flat and stable: every document has a
 //! `"kind"` discriminator and every cell carries its full experiment
 //! description plus a `"metrics"` object, so downstream tooling (plots,
 //! regression trackers) never has to re-parse the human-readable tables.
 
+use kvspec::json::{array, Obj};
 use scenario::ScenarioRun;
 use stats::{welch_t, ConfidenceLevel, Summary};
 use xrun::JobError;
@@ -16,7 +17,7 @@ use crate::replicate::{ReplicatedComparison, ReplicatedResult};
 use crate::sweep::{tdvs_coordinates, GridCell, SweepAxis};
 use crate::traceio::{StreamStats, TraceAnalysis};
 
-/// Version of the hand-rolled `--json` schema. Bump whenever a document's
+/// Version of the `--json` schema. Bump whenever a document's
 /// shape or field semantics change; every document carries it as
 /// `"schema_version"` so downstream tooling can refuse input it does not
 /// understand instead of misreading it.
@@ -85,101 +86,6 @@ use crate::traceio::{StreamStats, TraceAnalysis};
 /// [`TrafficSpec`]: traffic::TrafficSpec
 /// [`HistogramSketch`]: obs::HistogramSketch
 pub const SCHEMA_VERSION: u64 = 9;
-
-/// Escapes a string for a JSON string literal (without the quotes).
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders a finite float, or `null` for NaN/infinities (which JSON
-/// cannot represent).
-fn number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-/// A minimal JSON object builder: append fields, then [`Obj::finish`].
-#[derive(Debug)]
-pub(crate) struct Obj {
-    buf: String,
-}
-
-impl Obj {
-    pub(crate) fn new() -> Self {
-        Obj { buf: String::new() }
-    }
-
-    fn key(&mut self, key: &str) {
-        if !self.buf.is_empty() {
-            self.buf.push(',');
-        }
-        self.buf.push('"');
-        self.buf.push_str(&escape(key));
-        self.buf.push_str("\":");
-    }
-
-    /// Adds a string field.
-    pub(crate) fn str(mut self, key: &str, value: &str) -> Self {
-        self.key(key);
-        self.buf.push('"');
-        self.buf.push_str(&escape(value));
-        self.buf.push('"');
-        self
-    }
-
-    /// Adds a float field (`null` when not finite).
-    pub(crate) fn num(mut self, key: &str, value: f64) -> Self {
-        self.key(key);
-        self.buf.push_str(&number(value));
-        self
-    }
-
-    /// Adds an integer field.
-    pub(crate) fn int(mut self, key: &str, value: u64) -> Self {
-        self.key(key);
-        self.buf.push_str(&value.to_string());
-        self
-    }
-
-    /// Adds a boolean field.
-    pub(crate) fn bool(mut self, key: &str, value: bool) -> Self {
-        self.key(key);
-        self.buf.push_str(if value { "true" } else { "false" });
-        self
-    }
-
-    /// Adds a field whose value is already-rendered JSON.
-    pub(crate) fn raw(mut self, key: &str, json: &str) -> Self {
-        self.key(key);
-        self.buf.push_str(json);
-        self
-    }
-
-    /// Closes the object.
-    pub(crate) fn finish(self) -> String {
-        format!("{{{}}}", self.buf)
-    }
-}
-
-/// Renders a JSON array from already-rendered element documents.
-pub(crate) fn array(items: &[String]) -> String {
-    format!("[{}]", items.join(","))
-}
 
 /// The shared per-cell payload: the experiment's axes plus its measured
 /// metrics.
@@ -739,19 +645,6 @@ mod tests {
         assert!(!in_str, "unterminated string in {json}");
         assert_eq!(depth_obj, 0, "unbalanced braces in {json}");
         assert_eq!(depth_arr, 0, "unbalanced brackets in {json}");
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn non_finite_numbers_become_null() {
-        assert_eq!(number(f64::NAN), "null");
-        assert_eq!(number(f64::INFINITY), "null");
-        assert_eq!(number(1.5), "1.5");
     }
 
     #[test]

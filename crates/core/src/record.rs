@@ -29,7 +29,9 @@ use stats::Replication;
 use xrun::{Job, JobError, Runner};
 
 use crate::experiment::{Experiment, ExperimentResult};
-use crate::json::{array, escape, Obj, SCHEMA_VERSION};
+use kvspec::json::{array, escape, Obj};
+
+use crate::json::SCHEMA_VERSION;
 use crate::replicate::ReplicatedResult;
 
 /// One recorded simulation: a label naming the job within its batch,
@@ -148,21 +150,17 @@ pub fn fleet_record_series(outcome: &fleet::FleetOutcome) -> Vec<RecordedSeries>
 /// any worker count.
 #[must_use]
 pub fn record_jsonl(source: &str, series: &[RecordedSeries]) -> String {
-    let labels: Vec<String> = series
+    let labels = series.iter().map(|s| format!("\"{}\"", escape(&s.label)));
+    let channels = obs::Channel::ALL
         .iter()
-        .map(|s| format!("\"{}\"", escape(&s.label)))
-        .collect();
-    let channels: Vec<String> = obs::Channel::ALL
-        .iter()
-        .map(|c| format!("\"{}\"", c.name()))
-        .collect();
+        .map(|c| format!("\"{}\"", c.name()));
     let mut out = Obj::new()
         .int("schema_version", SCHEMA_VERSION)
         .int("cache_epoch", ccache::CACHE_EPOCH)
         .str("kind", "record")
         .str("source", source)
-        .raw("series", &array(&labels))
-        .raw("channels", &array(&channels))
+        .raw("series", &array(labels))
+        .raw("channels", &array(channels))
         .finish();
     out.push('\n');
     for (index, s) in series.iter().enumerate() {

@@ -17,7 +17,9 @@
 use obs::HistogramSketch;
 use xrun::{Job, Runner};
 
-use crate::json::{array, Obj, SCHEMA_VERSION};
+use kvspec::json::{array, escape, Obj, Value};
+
+use crate::json::SCHEMA_VERSION;
 
 /// Sample lines per fold chunk. Fixed — see the module docs.
 const SUMMARIZE_CHUNK: usize = 65_536;
@@ -108,8 +110,7 @@ impl ChannelFold {
 fn fold_chunk(channels: &[String], lines: &[&str]) -> Result<Vec<ChannelFold>, String> {
     let mut folds: Vec<ChannelFold> = channels.iter().map(|_| ChannelFold::new()).collect();
     for line in lines {
-        let sample = ccache::json::Value::parse(line)
-            .ok_or_else(|| format!("malformed sample line: {line}"))?;
+        let sample = Value::parse(line).ok_or_else(|| format!("malformed sample line: {line}"))?;
         let channel = sample
             .str_of("channel")
             .ok_or_else(|| format!("sample line without a channel: {line}"))?;
@@ -137,8 +138,8 @@ fn fold_chunk(channels: &[String], lines: &[&str]) -> Result<Vec<ChannelFold>, S
 pub fn summarize_record(text: &str, runner: &Runner) -> Result<RecordSummary, String> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
     let header_line = lines.next().ok_or("empty recording: no header line")?;
-    let header = ccache::json::Value::parse(header_line)
-        .ok_or("malformed recording header (not a JSON object)")?;
+    let header =
+        Value::parse(header_line).ok_or("malformed recording header (not a JSON object)")?;
     if header.str_of("kind") != Some("record") {
         return Err(format!(
             "not a record document (kind {:?}; expected \"record\")",
@@ -252,33 +253,25 @@ fn opt_num(obj: Obj, key: &str, value: Option<f64>) -> Obj {
 /// is byte-identical for any worker count.
 #[must_use]
 pub fn render_summary_json(summary: &RecordSummary) -> String {
-    let labels: Vec<String> = summary
-        .series
-        .iter()
-        .map(|l| format!("\"{}\"", crate::json::escape(l)))
-        .collect();
-    let channels: Vec<String> = summary
-        .channels
-        .iter()
-        .map(|c| {
-            let obj = Obj::new().str("channel", &c.channel).int("n", c.n);
-            let obj = opt_num(obj, "min", c.min);
-            let obj = opt_num(obj, "mean", c.mean);
-            let obj = opt_num(obj, "max", c.max);
-            let obj = opt_num(obj, "p50", c.p50);
-            let obj = opt_num(obj, "p95", c.p95);
-            opt_num(obj, "p99", c.p99).finish()
-        })
-        .collect();
+    let labels = summary.series.iter().map(|l| format!("\"{}\"", escape(l)));
+    let channels = summary.channels.iter().map(|c| {
+        let obj = Obj::new().str("channel", &c.channel).int("n", c.n);
+        let obj = opt_num(obj, "min", c.min);
+        let obj = opt_num(obj, "mean", c.mean);
+        let obj = opt_num(obj, "max", c.max);
+        let obj = opt_num(obj, "p50", c.p50);
+        let obj = opt_num(obj, "p95", c.p95);
+        opt_num(obj, "p99", c.p99).finish()
+    });
     Obj::new()
         .int("schema_version", SCHEMA_VERSION)
         .int("cache_epoch", ccache::CACHE_EPOCH)
         .str("kind", "obs_summary")
         .str("source", &summary.source)
         .int("input_schema_version", summary.input_schema_version)
-        .raw("series", &array(&labels))
+        .raw("series", &array(labels))
         .int("samples", summary.samples)
-        .raw("channels", &array(&channels))
+        .raw("channels", &array(channels))
         .finish()
 }
 
@@ -331,7 +324,7 @@ mod tests {
         assert!(json.contains("\"source\":\"run\""));
         assert!(json.contains("\"channel\":\"power_w\""));
         assert!(json.ends_with('}'));
-        let parsed = ccache::json::Value::parse(&json).expect("valid JSON");
+        let parsed = Value::parse(&json).expect("valid JSON");
         assert_eq!(parsed.u64_of("schema_version"), Some(SCHEMA_VERSION));
         assert_eq!(
             parsed.arr_of("channels").unwrap().len(),

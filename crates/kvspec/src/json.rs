@@ -1,16 +1,24 @@
-//! A minimal JSON reader (and two writer helpers) for cache payloads.
+//! The workspace's one JSON reader and writer.
+//!
+//! Every JSON byte the workspace reads or writes goes through this
+//! module: the CLI's `--json` documents and `--record` exports, the
+//! result-cache payloads, the flat spec objects of [`crate::parse_flat_json`]
+//! and the profiler's Chrome trace. One module therefore owns string
+//! escaping ([`escape`]), float tokens ([`num_f64`]), the writer
+//! ([`Obj`], [`array`]) and the parser ([`Value::parse`]).
 //!
 //! Numbers keep their **raw token** ([`Value::Num`]) instead of eagerly
 //! converting to `f64`: a `u64` parses back exactly (no 2^53 loss), and
 //! an `f64` written with Rust's shortest round-trip `Display` reparses
 //! to the very same bits. That is what lets a cache hit reproduce a
-//! cold run byte-for-byte through every renderer.
+//! cold run byte-for-byte through every renderer, and what lets a flat
+//! spec keep the number text its author wrote.
 //!
 //! The reader is deliberately strict-enough-and-no-more: it accepts the
 //! JSON this workspace writes (objects, arrays, strings with standard
 //! escapes, numbers, booleans, null) and returns `None` on anything
 //! malformed — corruption tolerance at the parse layer, so a damaged
-//! entry degrades to a cache miss instead of a panic.
+//! cache entry degrades to a miss instead of a panic.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,8 +144,8 @@ impl Value {
     }
 }
 
-/// JSON string escaping (quotes, backslash, `\u00XX` for controls) —
-/// the same convention the CLI's JSON renderers use.
+/// JSON string escaping (quotes, backslash, `\u00XX` for controls),
+/// without the surrounding quotes.
 #[must_use]
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -167,6 +175,86 @@ pub fn num_f64(v: f64) -> String {
     } else {
         "null".to_owned()
     }
+}
+
+/// A minimal JSON object builder: append fields, then [`Obj::finish`].
+#[derive(Debug, Default)]
+#[must_use]
+pub struct Obj {
+    buf: String,
+}
+
+impl Obj {
+    /// An empty object.
+    pub fn new() -> Self {
+        Obj::default()
+    }
+
+    fn key(&mut self, key: &str) {
+        if !self.buf.is_empty() {
+            self.buf.push(',');
+        }
+        self.buf.push('"');
+        self.buf.push_str(&escape(key));
+        self.buf.push_str("\":");
+    }
+
+    /// Adds a string field.
+    pub fn str(mut self, key: &str, value: &str) -> Self {
+        self.key(key);
+        self.buf.push('"');
+        self.buf.push_str(&escape(value));
+        self.buf.push('"');
+        self
+    }
+
+    /// Adds a float field (`null` when not finite, see [`num_f64`]).
+    pub fn num(mut self, key: &str, value: f64) -> Self {
+        self.key(key);
+        self.buf.push_str(&num_f64(value));
+        self
+    }
+
+    /// Adds an integer field.
+    pub fn int(mut self, key: &str, value: u64) -> Self {
+        self.key(key);
+        self.buf.push_str(&value.to_string());
+        self
+    }
+
+    /// Adds a boolean field.
+    pub fn bool(mut self, key: &str, value: bool) -> Self {
+        self.key(key);
+        self.buf.push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// Adds a field whose value is already-rendered JSON (a nested
+    /// document, or a number token kept verbatim).
+    pub fn raw(mut self, key: &str, json: &str) -> Self {
+        self.key(key);
+        self.buf.push_str(json);
+        self
+    }
+
+    /// Closes the object.
+    pub fn finish(self) -> String {
+        format!("{{{}}}", self.buf)
+    }
+}
+
+/// Renders a JSON array from already-rendered element documents.
+#[must_use]
+pub fn array<S: AsRef<str>>(items: impl IntoIterator<Item = S>) -> String {
+    let mut out = String::from("[");
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(item.as_ref());
+    }
+    out.push(']');
+    out
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -371,8 +459,15 @@ mod tests {
     }
 
     #[test]
+    fn escape_handles_specials() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+    }
+
+    #[test]
     fn non_finite_writes_as_null() {
         assert_eq!(num_f64(f64::NAN), "null");
         assert_eq!(num_f64(f64::INFINITY), "null");
+        assert_eq!(num_f64(1.5), "1.5");
     }
 }

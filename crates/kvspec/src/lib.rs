@@ -14,6 +14,10 @@
 //! * **flat JSON** objects ([`parse_flat_json`]):
 //!   `{"<name_key>": "name", "key": value, ...}`.
 //!
+//! It also holds the workspace's one JSON reader and writer
+//! ([`json`]), which the flat JSON grammar, the TOML string values, the
+//! CLI's result documents and the result-cache payloads all share.
+//!
 //! This crate owns the grammar parsing/rendering, the typed parameter
 //! bag ([`Params`]) with consumption tracking (typo protection), the
 //! shared error type ([`SpecError`]) and the self-description metadata
@@ -42,6 +46,10 @@
 #![warn(missing_debug_implementations)]
 
 use std::fmt;
+
+pub mod json;
+
+use json::{escape, Obj, Value};
 
 /// Metadata for one accepted parameter key, rendered by `abdex
 /// policies` / `abdex traffics`.
@@ -431,6 +439,10 @@ pub fn render_list<S: AsRef<str>>(items: &[S]) -> String {
 /// Returns [`SpecError::Malformed`] for syntax errors or a missing
 /// `<name_key>` entry.
 pub fn parse_flat_toml(input: &str, name_key: &str) -> Result<(String, Params), SpecError> {
+    let malformed = |reason: String| SpecError::Malformed {
+        input: input.to_owned(),
+        reason,
+    };
     let mut name: Option<String> = None;
     let mut params = Params::default();
     for raw in input.lines() {
@@ -438,24 +450,26 @@ pub fn parse_flat_toml(input: &str, name_key: &str) -> Result<(String, Params), 
         if line.is_empty() || (line.starts_with('[') && line.ends_with(']')) {
             continue;
         }
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(SpecError::Malformed {
-                input: input.to_owned(),
-                reason: format!("expected key = value, found '{line}'"),
-            });
+        let (key, value) = line
+            .split_once('=')
+            .ok_or_else(|| malformed(format!("expected key = value, found '{line}'")))?;
+        let (key, value) = (key.trim(), value.trim());
+        // A quoted value is a basic string with JSON's escapes.
+        let value = if value.starts_with('"') {
+            let Some(Value::Str(s)) = Value::parse(value) else {
+                return Err(malformed(format!("bad string value for '{key}': {value}")));
+            };
+            s
+        } else {
+            value.to_owned()
         };
-        let key = key.trim();
-        let value = unquote(value.trim());
         if key == name_key {
             name = Some(value);
         } else {
             params.insert(key, &value);
         }
     }
-    let name = name.ok_or_else(|| SpecError::Malformed {
-        input: input.to_owned(),
-        reason: format!("missing `{name_key} = \"...\"` entry"),
-    })?;
+    let name = name.ok_or_else(|| malformed(format!("missing `{name_key} = \"...\"` entry")))?;
     Ok((name, params))
 }
 
@@ -485,42 +499,31 @@ fn strip_toml_comment(line: &str) -> &str {
 }
 
 /// Parses a flat JSON object `{"<name_key>": "name", "key": value, ...}`
-/// with string or numeric values.
+/// with string or numeric values: strings are decoded, numbers keep
+/// their raw token, and duplicate keys resolve last-wins.
 ///
 /// # Errors
 ///
-/// Returns [`SpecError::Malformed`] for syntax errors or a missing
-/// `<name_key>` key.
+/// Returns [`SpecError::Malformed`] for syntax errors, a non-scalar
+/// value or a missing `<name_key>` key.
 pub fn parse_flat_json(input: &str, name_key: &str) -> Result<(String, Params), SpecError> {
     let malformed = |reason: String| SpecError::Malformed {
         input: input.to_owned(),
         reason,
     };
-    let body = input.trim();
-    let body = body
-        .strip_prefix('{')
-        .and_then(|b| b.strip_suffix('}'))
-        .ok_or_else(|| malformed("expected a {...} object".to_owned()))?;
+    let Some(Value::Obj(members)) = Value::parse(input) else {
+        return Err(malformed("expected a {...} JSON object".to_owned()));
+    };
     let mut name: Option<String> = None;
     let mut params = Params::default();
-    for pair in split_top_level_commas(body) {
-        let pair = pair.trim();
-        if pair.is_empty() {
-            continue;
-        }
-        let (key, value) = pair
-            .split_once(':')
-            .ok_or_else(|| malformed("expected \"key\": value pairs".to_owned()))?;
-        let key = key.trim();
-        let key = key
-            .strip_prefix('"')
-            .and_then(|k| k.strip_suffix('"'))
-            .ok_or_else(|| malformed("object keys must be quoted".to_owned()))?;
-        let value = unquote(value.trim());
+    for (key, value) in members {
+        let (Value::Str(value) | Value::Num(value)) = value else {
+            return Err(malformed(format!("\"{key}\" must be a string or a number")));
+        };
         if key == name_key {
             name = Some(value);
         } else {
-            params.insert(key, &value);
+            params.insert(&key, &value);
         }
     }
     let name = name.ok_or_else(|| malformed(format!("missing \"{name_key}\" key")))?;
@@ -545,11 +548,11 @@ pub fn render_cli(name: &str, params: &[(&'static str, PVal)]) -> String {
 /// round-trips.
 #[must_use]
 pub fn render_flat_toml(name_key: &str, name: &str, params: &[(&'static str, PVal)]) -> String {
-    let mut out = format!("{name_key} = \"{name}\"\n");
+    let mut out = format!("{name_key} = \"{}\"\n", escape(name));
     for (k, v) in params {
         match v {
             PVal::Num(n) => out.push_str(&format!("{k} = {n}\n")),
-            PVal::Str(s) => out.push_str(&format!("{k} = \"{}\"\n", escape_string(s))),
+            PVal::Str(s) => out.push_str(&format!("{k} = \"{}\"\n", escape(s))),
         }
     }
     out
@@ -559,70 +562,14 @@ pub fn render_flat_toml(name_key: &str, name: &str, params: &[(&'static str, PVa
 /// round-trips.
 #[must_use]
 pub fn render_flat_json(name_key: &str, name: &str, params: &[(&'static str, PVal)]) -> String {
-    let mut fields = vec![format!("\"{name_key}\":\"{}\"", escape_string(name))];
+    let mut obj = Obj::new().str(name_key, name);
     for (k, v) in params {
-        match v {
-            PVal::Num(n) => fields.push(format!("\"{k}\":{n}")),
-            PVal::Str(s) => fields.push(format!("\"{k}\":\"{}\"", escape_string(s))),
-        }
+        obj = match v {
+            PVal::Num(n) => obj.raw(k, n),
+            PVal::Str(s) => obj.str(k, s),
+        };
     }
-    format!("{{{}}}", fields.join(","))
-}
-
-/// Escapes quotes and backslashes for a quoted TOML/JSON string literal.
-fn escape_string(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Strips exactly one surrounding quote pair (when present) and undoes
-/// [`escape_string`]; bare (unquoted) values pass through untouched.
-fn unquote(s: &str) -> String {
-    let Some(inner) = s.strip_prefix('"').and_then(|rest| rest.strip_suffix('"')) else {
-        return s.to_owned();
-    };
-    let mut out = String::with_capacity(inner.len());
-    let mut escaped = false;
-    for c in inner.chars() {
-        if escaped {
-            out.push(c);
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// Splits on commas that are not inside quotes (flat JSON objects only).
-fn split_top_level_commas(body: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let mut start = 0;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in body.char_indices() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            ',' => {
-                parts.push(&body[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    parts.push(&body[start..]);
-    parts
+    obj.finish()
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! A dependency-free hierarchical span profiler with Chrome-trace
-//! export.
+//! A hierarchical span profiler with Chrome-trace export, on `std`
+//! alone plus the workspace's shared JSON escaper ([`kvspec::json`]).
 //!
 //! Host-side wall-time attribution for the whole pipeline: callers open
 //! RAII [`SpanGuard`]s ([`span`]) around phases ("parse", "simulate",
@@ -34,6 +34,8 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+use kvspec::json::{array, Obj};
 
 /// Process-wide arm switch; spans are recorded only while `true`.
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -287,26 +289,6 @@ pub struct Profile {
     pub counters: Vec<CounterRec>,
 }
 
-/// Escapes a string for a JSON string literal (the profiler is
-/// dependency-free, so it carries its own four-line escaper).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Profile {
     /// `true` when nothing was recorded.
     #[must_use]
@@ -331,39 +313,31 @@ impl Profile {
     /// (<https://ui.perfetto.dev>) or `chrome://tracing`.
     #[must_use]
     pub fn chrome_trace_json(&self) -> String {
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        for s in &self.spans {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"cat\":\"abdex\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
-                 \"ts\":{},\"dur\":{}}}",
-                escape_json(&s.name),
-                s.tid,
-                s.ts_us,
-                s.dur_us
-            );
-        }
-        for c in &self.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
+        let event = |name: &str, ph: &str, tid: u64, ts_us: u64| {
+            Obj::new()
+                .str("name", name)
+                .str("cat", "abdex")
+                .str("ph", ph)
+                .int("pid", 1)
+                .int("tid", tid)
+                .int("ts", ts_us)
+        };
+        let spans = self.spans.iter().map(|s| {
+            event(&s.name, "X", s.tid, s.ts_us)
+                .int("dur", s.dur_us)
+                .finish()
+        });
+        let counters = self.counters.iter().map(|c| {
             let total = if c.total.is_finite() { c.total } else { 0.0 };
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"cat\":\"abdex\",\"ph\":\"C\",\"pid\":1,\"tid\":{},\
-                 \"ts\":{},\"args\":{{\"value\":{total}}}}}",
-                escape_json(&c.name),
-                c.tid,
-                c.ts_us
-            );
-        }
-        out.push_str("]}\n");
+            event(&c.name, "C", c.tid, c.ts_us)
+                .raw("args", &Obj::new().num("value", total).finish())
+                .finish()
+        });
+        let mut out = Obj::new()
+            .str("displayTimeUnit", "ms")
+            .raw("traceEvents", &array(spans.chain(counters)))
+            .finish();
+        out.push('\n');
         out
     }
 
@@ -533,8 +507,19 @@ mod tests {
 
     #[test]
     fn escape_handles_quotes_and_control_chars() {
-        assert_eq!(escape_json("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape_json("x\ny"), "x\\ny");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
+        let name = "a\"b\\c\nx\u{1}";
+        let profile = Profile {
+            spans: vec![SpanRec {
+                name: name.to_owned(),
+                tid: 1,
+                ts_us: 0,
+                dur_us: 1,
+                self_us: 1,
+            }],
+            counters: Vec::new(),
+        };
+        let doc = kvspec::json::Value::parse(&profile.chrome_trace_json()).unwrap();
+        let events = doc.arr_of("traceEvents").unwrap();
+        assert_eq!(events[0].str_of("name"), Some(name));
     }
 }
