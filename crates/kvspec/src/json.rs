@@ -470,4 +470,41 @@ mod tests {
         assert_eq!(num_f64(f64::INFINITY), "null");
         assert_eq!(num_f64(1.5), "1.5");
     }
+
+    #[test]
+    fn corrupted_documents_fail_cleanly() {
+        let doc = Obj::new()
+            .str("traffic", "trace")
+            .str("path", "caf\u{e9} \"q\"\t\\")
+            .int("big", u64::MAX - 1)
+            .num("x", 0.1)
+            .num("tiny", -2.5e-7)
+            .raw(
+                "list",
+                &array([
+                    num_f64(1.5),
+                    "\"s\"".to_owned(),
+                    Obj::new().bool("b", true).raw("n", "null").finish(),
+                ]),
+            )
+            .finish();
+        let parsed = Value::parse(&doc).unwrap();
+        assert_eq!(parsed.u64_of("big"), Some(u64::MAX - 1));
+        // Every strict prefix of an object is incomplete.
+        for end in (0..doc.len()).filter(|&i| doc.is_char_boundary(i)) {
+            let cut = &doc[..end];
+            assert!(Value::parse(cut).is_none(), "accepted prefix {cut:?}");
+            let _ = crate::parse_flat_json(cut, "traffic");
+        }
+        // Any single structural substitution parses or fails, never panics.
+        for (i, c) in doc.char_indices() {
+            for sub in [
+                '{', '}', '[', ']', '"', ',', ':', '\\', '-', 'e', 'n', '\u{1}',
+            ] {
+                let mutated = format!("{}{sub}{}", &doc[..i], &doc[i + c.len_utf8()..]);
+                let _ = Value::parse(&mutated);
+                let _ = crate::parse_flat_json(&mutated, "traffic");
+            }
+        }
+    }
 }

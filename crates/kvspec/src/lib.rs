@@ -635,6 +635,18 @@ mod tests {
             parse_flat_json(r#"{"rate": 5}"#, "traffic"),
             Err(SpecError::Malformed { .. })
         ));
+        assert!(matches!(
+            parse_flat_json(r#"{"traffic": "x", "rate": [5]}"#, "traffic"),
+            Err(SpecError::Malformed { .. })
+        ));
+        // Escapes as an external encoder writes them, and last-wins keys.
+        let (name, mut p) = parse_flat_json(
+            r#"{"traffic":"x","traffic":"trace","path":"caf\u00e9\tx\n\/y.trace"}"#,
+            "traffic",
+        )
+        .unwrap();
+        assert_eq!(name, "trace");
+        assert_eq!(p.maybe_str("path").unwrap(), "caf\u{e9}\tx\n/y.trace");
     }
 
     #[test]
@@ -665,7 +677,8 @@ mod tests {
     #[test]
     fn string_values_with_grammar_chars_round_trip() {
         // '#' must survive TOML comment stripping; leading/trailing
-        // quotes and backslashes must survive the escape round-trip.
+        // quotes, backslashes, control characters and non-ASCII text
+        // must survive the escape round-trip.
         for path in [
             "/data/run#3/trace.txt",
             "/tmp/a\"",
@@ -674,6 +687,10 @@ mod tests {
             "\\",
             "\"",
             "",
+            "tab\there",
+            "line\nbreak",
+            "ctl\u{1}byte",
+            "caf\u{e9}.trace",
         ] {
             let params = [("path", PVal::Str(path.to_owned()))];
             let toml = render_flat_toml("traffic", "trace", &params);
