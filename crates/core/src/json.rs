@@ -584,6 +584,7 @@ mod tests {
     };
     use crate::sweep::{sweep_tdvs, TdvsGrid};
     use crate::{PolicySpec, Runner};
+    use kvspec::json::Value;
     use nepsim::Benchmark;
     use traffic::{TrafficLevel, TrafficSpec};
 
@@ -613,40 +614,6 @@ mod tests {
         cmp
     }
 
-    /// A tiny structural validator: checks quotes/brace/bracket balance
-    /// outside string literals — enough to catch malformed output
-    /// without a full parser.
-    fn assert_balanced(json: &str) {
-        let mut depth_obj = 0i64;
-        let mut depth_arr = 0i64;
-        let mut in_str = false;
-        let mut escaped = false;
-        for c in json.chars() {
-            if in_str {
-                if escaped {
-                    escaped = false;
-                } else if c == '\\' {
-                    escaped = true;
-                } else if c == '"' {
-                    in_str = false;
-                }
-                continue;
-            }
-            match c {
-                '"' => in_str = true,
-                '{' => depth_obj += 1,
-                '}' => depth_obj -= 1,
-                '[' => depth_arr += 1,
-                ']' => depth_arr -= 1,
-                _ => {}
-            }
-            assert!(depth_obj >= 0 && depth_arr >= 0, "early close in {json}");
-        }
-        assert!(!in_str, "unterminated string in {json}");
-        assert_eq!(depth_obj, 0, "unbalanced braces in {json}");
-        assert_eq!(depth_arr, 0, "unbalanced brackets in {json}");
-    }
-
     #[test]
     fn experiment_document_has_the_schema() {
         let r = Experiment {
@@ -658,7 +625,7 @@ mod tests {
         }
         .run();
         let json = experiment_json(&r);
-        assert_balanced(&json);
+        assert!(Value::parse(&json).is_some(), "{json}");
         for key in [
             "\"schema_version\":9",
             "\"kind\":\"experiment\"",
@@ -690,7 +657,7 @@ mod tests {
             1,
         );
         let json = tdvs_sweep_json(&cells, &[]);
-        assert_balanced(&json);
+        assert!(Value::parse(&json).is_some(), "{json}");
         assert!(json.contains("\"kind\":\"tdvs_sweep\""));
         assert!(json.contains("\"schema_version\":9"));
         assert!(json.contains("\"cells\":2"));
@@ -712,7 +679,7 @@ mod tests {
                 .collect(),
         };
         let json = sweep_json(&axis, &sweep(&axis), &[]);
-        assert_balanced(&json);
+        assert!(Value::parse(&json).is_some(), "{json}");
         assert!(json.contains("\"kind\":\"spec_sweep\""));
         assert!(json.contains("\"policy_kind\":\"PDVS\""));
     }
@@ -725,7 +692,7 @@ mod tests {
             message: "ladder panic \"quoted\"".into(),
         }];
         let json = tdvs_sweep_json(&[], &failures);
-        assert_balanced(&json);
+        assert!(Value::parse(&json).is_some(), "{json}");
         assert!(json.contains("\"cells\":0"), "{json}");
         assert!(json.contains("\"failed\":1"), "{json}");
         assert!(json.contains("\"index\":3"), "{json}");
@@ -742,7 +709,7 @@ mod tests {
             policy: PolicySpec::NoDvs,
         };
         let json = sweep_json(&axis, &sweep(&axis), &[]);
-        assert_balanced(&json);
+        assert!(Value::parse(&json).is_some(), "{json}");
         assert!(json.contains("\"kind\":\"traffic_sweep\""), "{json}");
         assert!(json.contains("\"schema_version\":9"), "{json}");
         assert!(json.contains("\"cells\":2"), "{json}");
@@ -763,7 +730,7 @@ mod tests {
         };
         let cmp = compare_policies(&[Benchmark::Nat], &[TrafficLevel::Low.into()], &cfg);
         let json = comparison_json(&cmp, &[]);
-        assert_balanced(&json);
+        assert!(Value::parse(&json).is_some(), "{json}");
         assert!(json.contains("\"kind\":\"policy_comparison\""));
         assert!(json.contains("\"schema_version\":9"));
         assert!(json.contains("\"rows\":6"));
@@ -785,7 +752,7 @@ mod tests {
         )
         .unwrap();
         let json = replicated_run_json(&r, stats::ConfidenceLevel::P95);
-        assert_balanced(&json);
+        assert!(Value::parse(&json).is_some(), "{json}");
         for key in [
             "\"schema_version\":9",
             "\"kind\":\"replicated_run\"",
@@ -815,7 +782,7 @@ mod tests {
         };
         let cells = replicated_sweep(&axis);
         let json = replicated_sweep_json(&axis, &cells, 2, stats::ConfidenceLevel::P90, &[]);
-        assert_balanced(&json);
+        assert!(Value::parse(&json).is_some(), "{json}");
         assert!(json.contains("\"kind\":\"replicated_sweep\""), "{json}");
         assert!(json.contains("\"axis\":\"tdvs\""), "{json}");
         assert!(json.contains("\"ci_level\":90"), "{json}");
@@ -832,7 +799,7 @@ mod tests {
         };
         let cells = replicated_sweep(&axis);
         let json = replicated_sweep_json(&axis, &cells, 2, stats::ConfidenceLevel::P99, &[]);
-        assert_balanced(&json);
+        assert!(Value::parse(&json).is_some(), "{json}");
         assert!(json.contains("\"axis\":\"traffics\""), "{json}");
         assert!(json.contains("\"traffic_model\":\"constant\""), "{json}");
 
@@ -845,7 +812,7 @@ mod tests {
         };
         let cells = replicated_sweep(&axis);
         let json = replicated_sweep_json(&axis, &cells, 2, stats::ConfidenceLevel::P95, &[]);
-        assert_balanced(&json);
+        assert!(Value::parse(&json).is_some(), "{json}");
         assert!(json.contains("\"axis\":\"policies\""), "{json}");
         assert!(json.contains("\"policy_kind\":\"PDVS\""), "{json}");
     }
@@ -854,7 +821,7 @@ mod tests {
     fn replicated_compare_document_carries_interval_savings() {
         let cmp = two_seed_compare(TrafficLevel::Low.into(), Benchmark::Nat);
         let json = replicated_compare_json(&cmp, stats::ConfidenceLevel::P95, &[]);
-        assert_balanced(&json);
+        assert!(Value::parse(&json).is_some(), "{json}");
         assert!(json.contains("\"kind\":\"replicated_compare\""), "{json}");
         assert!(json.contains("\"schema_version\":9"), "{json}");
         assert!(json.contains("\"seeds\":2"), "{json}");
@@ -877,7 +844,7 @@ mod tests {
         // `significant_vs_nodvs` stands alone as the verdict.
         let cmp = two_seed_compare("constant:rate=600".parse().unwrap(), Benchmark::Ipfwdr);
         let json = replicated_compare_json(&cmp, stats::ConfidenceLevel::P95, &[]);
-        assert_balanced(&json);
+        assert!(Value::parse(&json).is_some(), "{json}");
         // Every non-baseline row whose power genuinely differs reports
         // null t (infinite) with a true verdict.
         assert!(
@@ -908,7 +875,7 @@ mod tests {
         let (run, errors) = scenario::try_run_scenario(&Runner::new(), &scenario);
         assert!(errors.is_empty());
         let json = scenario_json(&run, stats::ConfidenceLevel::P95, &errors);
-        assert_balanced(&json);
+        assert!(Value::parse(&json).is_some(), "{json}");
         for key in [
             "\"schema_version\":9",
             "\"kind\":\"scenario\"",
@@ -942,7 +909,7 @@ mod tests {
         let outcome = fleet::run_fleet(&config, 2, &Runner::new());
         assert!(outcome.errors.is_empty());
         let json = fleet_json(&outcome, stats::ConfidenceLevel::P95);
-        assert_balanced(&json);
+        assert!(Value::parse(&json).is_some(), "{json}");
         for key in [
             "\"schema_version\":9",
             "\"kind\":\"fleet\"",

@@ -2,6 +2,8 @@
 
 use std::process::Command;
 
+use kvspec::json::Value;
+
 fn abdex() -> Command {
     Command::new(env!("CARGO_BIN_EXE_abdex"))
 }
@@ -1122,9 +1124,9 @@ fn json_dash_pipes_every_command_kind() {
         .output()
         .expect("binary runs");
     assert!(out.status.success());
-    let doc = String::from_utf8_lossy(&out.stdout);
-    assert!(doc.starts_with('{'), "{doc}");
-    assert!(doc.contains("\"kind\":\"experiment\""), "{doc}");
+    let doc = Value::parse(&String::from_utf8_lossy(&out.stdout)).expect("one JSON document");
+    assert_eq!(doc.u64_of("schema_version"), Some(9));
+    assert_eq!(doc.str_of("kind"), Some("experiment"));
     assert!(String::from_utf8_lossy(&out.stderr).contains("mean power"));
 
     let out = abdex()
@@ -1142,9 +1144,9 @@ fn json_dash_pipes_every_command_kind() {
         .output()
         .expect("binary runs");
     assert!(out.status.success());
-    let doc = String::from_utf8_lossy(&out.stdout);
-    assert!(doc.starts_with('{'), "{doc}");
-    assert!(doc.contains("\"kind\":\"spec_sweep\""), "{doc}");
+    let doc = Value::parse(&String::from_utf8_lossy(&out.stdout)).expect("one JSON document");
+    assert_eq!(doc.u64_of("schema_version"), Some(9));
+    assert_eq!(doc.str_of("kind"), Some("spec_sweep"));
     assert!(String::from_utf8_lossy(&out.stderr).contains("policy_spec"));
 }
 
