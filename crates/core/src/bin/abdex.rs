@@ -1302,7 +1302,7 @@ fn cmd_obs(rest: &[String]) -> Result<(), String> {
 /// per-channel statistics (table and/or `obs_summary` JSON document).
 fn cmd_obs_summarize(path: &str, opts: &Opts) -> Result<(), String> {
     preflight_json(opts)?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let text = read_input(path)?;
     let pool = runner(opts)?;
     let summary =
         abdex::summarize::summarize_record(&text, &pool).map_err(|e| format!("{path}: {e}"))?;
@@ -1462,7 +1462,7 @@ fn cmd_trace_generate(opts: &Opts) -> Result<(), String> {
 /// `trace_analysis` JSON document).
 fn cmd_trace_analyze(path: &str, opts: &Opts) -> Result<(), String> {
     preflight_json(opts)?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let text = read_input(path)?;
     let trace = RecordedTrace::from_text(&text).map_err(|e| format!("{path}: {e}"))?;
     let runner = runner(opts)?;
     let analysis =
@@ -1494,11 +1494,23 @@ fn cmd_trace(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
+/// Reads an input file. A zero-byte or whitespace-only file is an
+/// error naming the file, the one rule for every subcommand that
+/// analyzes an input (`check`, `analyze`, `trace analyze`, `obs
+/// summarize`).
+fn read_input(path: &str) -> Result<String, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    if text.trim().is_empty() {
+        return Err(format!("{path}: empty input file"));
+    }
+    Ok(text)
+}
+
 fn load_trace(opts: &Opts) -> Result<Trace, String> {
     let path = opts
         .get("trace")
         .ok_or_else(|| "--trace <file> is required".to_owned())?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let text = read_input(path)?;
     Trace::from_text(&text)
 }
 

@@ -264,6 +264,49 @@ fn trace_check_analyze_pipeline() {
 }
 
 #[test]
+fn empty_inputs_fail_naming_the_file() {
+    // One rule for every subcommand that analyzes an input file: a
+    // zero-byte or whitespace-only file exits 1 with an error naming it.
+    let dir = std::env::temp_dir().join(format!("abdex-cli-empty-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let formula = "energy(forward[i+1]) - energy(forward[i]) >= 0";
+    for (name, body) in [("zero.txt", ""), ("blank.txt", " \n\t\n")] {
+        let path = dir.join(name);
+        std::fs::write(&path, body).unwrap();
+        let path = path.to_str().unwrap();
+        for args in [
+            vec!["check", "--formula", formula, "--trace", path],
+            vec!["analyze", "--formula", formula, "--trace", path],
+            vec!["trace", "analyze", path],
+            vec!["obs", "summarize", path],
+        ] {
+            let out = abdex().args(&args).output().expect("binary runs");
+            assert_eq!(out.status.code(), Some(1), "{args:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                err.contains(&format!("{path}: empty input file")),
+                "{args:?}: {err}"
+            );
+        }
+    }
+
+    // A header-only recorded trace holds zero packets and stays valid.
+    let header_only = dir.join("header.trace");
+    std::fs::write(&header_only, "# abdex-trace v1\n").unwrap();
+    let out = abdex()
+        .args(["trace", "analyze", header_only.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn sweep_accepts_jobs_and_writes_json() {
     let dir = std::env::temp_dir().join(format!("abdex-cli-json-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
