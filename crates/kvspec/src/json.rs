@@ -44,7 +44,7 @@ impl Value {
     pub fn parse(text: &str) -> Option<Value> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         (pos == bytes.len()).then_some(v)
     }
@@ -266,11 +266,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Option<Value> {
+/// The deepest array/object nesting the reader accepts. The workspace's
+/// documents nest a few levels; the bound keeps a damaged or hostile
+/// input from overflowing the stack (a deeper `{`/`[` falls through to
+/// the number parser, which rejects it).
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
     skip_ws(bytes, pos);
     match bytes.get(*pos)? {
-        b'{' => parse_obj(bytes, pos),
-        b'[' => parse_arr(bytes, pos),
+        b'{' if depth < MAX_DEPTH => parse_obj(bytes, pos, depth + 1),
+        b'[' if depth < MAX_DEPTH => parse_arr(bytes, pos, depth + 1),
         b'"' => parse_string(bytes, pos).map(Value::Str),
         b't' => parse_literal(bytes, pos, "true", Value::Bool(true)),
         b'f' => parse_literal(bytes, pos, "false", Value::Bool(false)),
@@ -351,7 +357,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Option<String> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Option<Value> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -360,7 +366,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Option<Value> {
         return Some(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos)? {
             b',' => *pos += 1,
@@ -373,7 +379,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Option<Value> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Option<Value> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
     *pos += 1; // consume '{'
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -389,7 +395,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Option<Value> {
             return None;
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos)? {
@@ -453,9 +459,12 @@ mod tests {
             "\"unterminated",
             "{'single':1}",
             "nul",
+            &"[".repeat(1_000_000),
         ] {
-            assert!(Value::parse(bad).is_none(), "accepted {bad:?}");
+            assert!(Value::parse(bad).is_none(), "accepted {bad:.20?}");
         }
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Value::parse(&deep).is_some());
     }
 
     #[test]
