@@ -15,10 +15,9 @@
 
 use desim::SimTime;
 use dvs::PolicyKind;
+use kvspec::json::{array, escape, num_f64, Obj, Value};
 use nepsim::{MeMode, MeReport, MeRole, ModeAcc, SimReport, WindowIdleSample};
 use obs::{Channel, KernelCounters, Recording, Sample};
-
-use kvspec::json::{array, escape, num_f64, Obj, Value};
 
 /// The payload-format version embedded in every composed payload.
 pub const PAYLOAD_VERSION: u64 = 1;

@@ -1,10 +1,11 @@
 //! JSON output for experiment results.
 //!
 //! This module renders the JSON the `abdex ... --json <path>` flag
-//! emits, through the workspace's one writer ([`kvspec::json`]). The schema is flat and stable: every document has a
-//! `"kind"` discriminator and every cell carries its full experiment
-//! description plus a `"metrics"` object, so downstream tooling (plots,
-//! regression trackers) never has to re-parse the human-readable tables.
+//! emits, through the workspace's one writer ([`kvspec::json`]). The
+//! schema is flat and stable: every document has a `"kind"`
+//! discriminator and every cell carries its full experiment description
+//! plus a `"metrics"` object, so downstream tooling (plots, regression
+//! trackers) never has to re-parse the human-readable tables.
 
 use kvspec::json::{array, Obj};
 use scenario::ScenarioRun;

@@ -24,13 +24,12 @@
 
 use std::time::Duration;
 
+use kvspec::json::{array, escape, Obj};
 use obs::{KernelCounters, Recording};
 use stats::Replication;
 use xrun::{Job, JobError, Runner};
 
 use crate::experiment::{Experiment, ExperimentResult};
-use kvspec::json::{array, escape, Obj};
-
 use crate::json::SCHEMA_VERSION;
 use crate::replicate::ReplicatedResult;
 

@@ -14,10 +14,9 @@
 //! `obs_summary` JSON document — is bit-identical for any `--jobs`
 //! value.
 
+use kvspec::json::{array, escape, Obj, Value};
 use obs::HistogramSketch;
 use xrun::{Job, Runner};
-
-use kvspec::json::{array, escape, Obj, Value};
 
 use crate::json::SCHEMA_VERSION;
 

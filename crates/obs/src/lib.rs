@@ -26,6 +26,9 @@
 //! host-side wall-clock span profiler exporting Chrome-trace JSON. Its
 //! output only ever leaves through stderr or a dedicated trace file,
 //! never through the deterministic stdout documents.
+//!
+//! The crate's one dependency is `kvspec`, whose [`kvspec::json`]
+//! writer renders that trace.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

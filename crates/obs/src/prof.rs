@@ -1,5 +1,5 @@
-//! A hierarchical span profiler with Chrome-trace export, on `std`
-//! alone plus the workspace's shared JSON escaper ([`kvspec::json`]).
+//! A hierarchical span profiler with Chrome-trace export, built on
+//! `std` plus the workspace's shared JSON writer ([`kvspec::json`]).
 //!
 //! Host-side wall-time attribution for the whole pipeline: callers open
 //! RAII [`SpanGuard`]s ([`span`]) around phases ("parse", "simulate",
