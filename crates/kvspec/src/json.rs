@@ -1,9 +1,8 @@
 //! The workspace's one JSON reader and writer.
 //!
-//! Every JSON byte the workspace reads or writes goes through this
-//! module: the CLI's `--json` documents and `--record` exports, the
-//! result-cache payloads, the flat spec objects of [`crate::parse_flat_json`]
-//! and the profiler's Chrome trace. One module therefore owns string
+//! The CLI's `--json` documents and `--record` exports, the result-cache
+//! payloads, the flat spec objects of [`crate::parse_flat_json`] and the
+//! profiler's Chrome trace are all read and written through this module. One module therefore owns string
 //! escaping ([`escape`]), float tokens ([`num_f64`]), the writer
 //! ([`Obj`], [`array`]) and the parser ([`Value::parse`]).
 //!
