@@ -616,6 +616,16 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_numbers_become_null() {
+        let doc = Obj::new()
+            .num("nan", f64::NAN)
+            .num("inf", f64::INFINITY)
+            .num("x", 1.5)
+            .finish();
+        assert_eq!(doc, r#"{"nan":null,"inf":null,"x":1.5}"#);
+    }
+
+    #[test]
     fn experiment_document_has_the_schema() {
         let r = Experiment {
             benchmark: Benchmark::Nat,
