@@ -1,42 +1,18 @@
 //! Deterministic future-event list.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//!
+//! The pending events live in one `Vec` sorted latest-first, so the next
+//! event is always at the back: a pop is `Vec::pop`, and a schedule scans
+//! from the back past the events due at or before it and inserts there —
+//! O(pending) per insert. That beats a binary heap while the pending set
+//! stays small and new events land near the front of time, which is the
+//! shape of the `nepsim` model: it holds at most one event per thread per
+//! microengine, one continuation per microengine, the next arrival and the
+//! next window (threads × MEs + MEs + 2, 32 in the paper configuration),
+//! and most new events complete within a few hundred cycles.
 
 use obs::KernelCounters;
 
 use crate::SimTime;
-
-/// One pending entry in the [`EventQueue`].
-#[derive(Debug)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest time pops first,
-        // and break ties by insertion sequence for determinism.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 /// A future-event list: events pop in non-decreasing time order, with ties
 /// broken by insertion order (FIFO), which makes simulations deterministic.
@@ -56,8 +32,8 @@ impl<E> PartialOrd for Entry<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
+    /// Pending events sorted by `(time, insertion order)`, latest first.
+    pending: Vec<(SimTime, E)>,
     now: SimTime,
     counters: KernelCounters,
 }
@@ -67,8 +43,7 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
+            pending: Vec::new(),
             now: SimTime::ZERO,
             counters: KernelCounters::default(),
         }
@@ -81,7 +56,8 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Schedules `payload` at absolute time `at`.
+    /// Schedules `payload` at absolute time `at`, after every pending
+    /// event due at or before `at`.
     ///
     /// # Panics
     ///
@@ -93,15 +69,14 @@ impl<E> EventQueue<E> {
             "cannot schedule event at {at} before current time {now}",
             now = self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry {
-            time: at,
-            seq,
-            payload,
-        });
+        let slot = self
+            .pending
+            .iter()
+            .rposition(|&(t, _)| t > at)
+            .map_or(0, |later| later + 1);
+        self.pending.insert(slot, (at, payload));
         self.counters.events_scheduled += 1;
-        self.counters.peak_heap_len = self.counters.peak_heap_len.max(self.heap.len() as u64);
+        self.counters.peak_heap_len = self.counters.peak_heap_len.max(self.pending.len() as u64);
     }
 
     /// Schedules `payload` at `delay` after the current time.
@@ -113,30 +88,38 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| {
-            debug_assert!(e.time >= self.now, "event heap yielded out-of-order time");
-            self.now = e.time;
-            self.counters.events_processed += 1;
-            (e.time, e.payload)
-        })
+        let (time, payload) = self.pending.pop()?;
+        debug_assert!(time >= self.now, "event list yielded out-of-order time");
+        self.now = time;
+        self.counters.events_processed += 1;
+        Some((time, payload))
+    }
+
+    /// Like [`EventQueue::pop`], but leaves the queue untouched and returns
+    /// `None` when the earliest event is due after `cap`.
+    pub fn pop_until(&mut self, cap: SimTime) -> Option<(SimTime, E)> {
+        if self.peek_time()? > cap {
+            return None;
+        }
+        self.pop()
     }
 
     /// Time of the next event without popping it.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.pending.last().map(|&(t, _)| t)
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.pending.len()
     }
 
     /// `true` if no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.pending.is_empty()
     }
 
     /// Discards all pending events without advancing the clock.
@@ -144,7 +127,7 @@ impl<E> EventQueue<E> {
     /// Kernel counters are lifetime tallies and survive a `clear` —
     /// discarded events stay counted as scheduled, never as processed.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        self.pending.clear();
     }
 
     /// Lifetime kernel tallies: events scheduled/processed and the peak
@@ -250,5 +233,25 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn pop_until_stops_at_the_cap() {
+        let mut q = EventQueue::new();
+        for t in [3, 1, 2, 5] {
+            q.schedule(SimTime::from_ns(t), t);
+        }
+        let cap = SimTime::from_ns(3);
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop_until(cap).map(|(_, e)| e)).collect();
+        assert_eq!(order, [1, 2, 3]);
+        // The later event stays queued and the clock stops at the last pop.
+        assert_eq!(q.now(), cap);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.counters().events_processed, 3);
+        assert_eq!(
+            q.pop_until(SimTime::from_ns(5)),
+            Some((SimTime::from_ns(5), 5))
+        );
+        assert_eq!(q.pop_until(SimTime::MAX), None);
     }
 }

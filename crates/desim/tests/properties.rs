@@ -4,6 +4,13 @@ use desim::stats::{Histogram, OnlineStats, P2Quantile, TimeWeighted};
 use desim::{EventQueue, Frequency, SimTime};
 use proptest::prelude::*;
 
+/// The reference event list: the earliest pending event, oldest first
+/// among equal times (`min_by_key` keeps the first of equal keys).
+fn model_pop(model: &mut Vec<(SimTime, usize)>) -> Option<(SimTime, usize)> {
+    let earliest = (0..model.len()).min_by_key(|&i| model[i].0)?;
+    Some(model.remove(earliest))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -25,6 +32,49 @@ proptest! {
             .collect();
         expected.sort_by_key(|&(t, _)| t); // stable
         prop_assert_eq!(popped, expected);
+    }
+
+    /// Interleaved `schedule` and `pop` calls, with equal-time bursts and
+    /// up to about 500 events pending, match a reference model that pops
+    /// the earliest pending event, oldest first among equal times. New
+    /// events land at or after the current time, never in the past, and
+    /// the kernel counters match the model's tallies.
+    #[test]
+    fn interleaved_queue_matches_reference_model(
+        schedule_weight in 1u8..8,
+        ops in prop::collection::vec((0u8..8, 0u64..40, 1usize..4), 0..400),
+    ) {
+        let mut q = EventQueue::new();
+        let mut model = Vec::new();
+        let (mut next_id, mut peak, mut popped) = (0usize, 0usize, 0u64);
+        for (kind, delay, burst) in ops {
+            if kind < schedule_weight {
+                let at = q.now() + SimTime::from_ns(delay);
+                for _ in 0..burst {
+                    q.schedule(at, next_id);
+                    model.push((at, next_id));
+                    next_id += 1;
+                }
+                peak = peak.max(model.len());
+            } else {
+                let expected = model_pop(&mut model);
+                popped += u64::from(expected.is_some());
+                prop_assert_eq!(q.pop(), expected);
+                if let Some((t, _)) = expected {
+                    prop_assert_eq!(q.now(), t);
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+        }
+        while let Some(expected) = model_pop(&mut model) {
+            popped += 1;
+            prop_assert_eq!(q.pop(), Some(expected));
+        }
+        prop_assert_eq!(q.pop(), None);
+        let c = q.counters();
+        prop_assert_eq!(c.events_scheduled, next_id as u64);
+        prop_assert_eq!(c.events_processed, popped);
+        prop_assert_eq!(c.peak_heap_len, peak as u64);
     }
 
     /// Cycle/time conversion round-trips exactly for cycle counts whose

@@ -355,11 +355,7 @@ impl Simulator {
     /// events queued. Popping is globally time-ordered, so draining in
     /// stages processes the exact event sequence of a single drain.
     fn drain_until(&mut self, cap: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > cap {
-                break;
-            }
-            let (now, ev) = self.queue.pop().expect("peeked event exists");
+        while let Some((now, ev)) = self.queue.pop_until(cap) {
             self.handle(ev, now);
         }
     }
