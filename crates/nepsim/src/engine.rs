@@ -126,6 +126,30 @@ impl ModeAcc {
     }
 }
 
+/// Per-VF-level microengine power in watts, `[active, idle]` at each
+/// ladder index: the `P ∝ C·V²·α·f` scaling evaluated once per run, so
+/// mode changes index a table instead of recomputing the scale factor.
+#[derive(Debug)]
+pub(crate) struct PowerTable(Vec<[f64; 2]>);
+
+impl PowerTable {
+    pub(crate) fn new(ladder: &VfLadder, params: &PowerParams) -> Self {
+        let top = ladder.top();
+        PowerTable(
+            ladder
+                .iter()
+                .map(|point| {
+                    let scale = point.power_scale(&top);
+                    [
+                        params.me_active_w * scale,
+                        params.me_active_w * params.idle_factor * scale,
+                    ]
+                })
+                .collect(),
+        )
+    }
+}
+
 /// A microengine: threads plus mode/energy accounting.
 #[derive(Debug)]
 pub(crate) struct Microengine {
@@ -187,49 +211,38 @@ impl Microengine {
     }
 
     /// Instantaneous power in watts for `mode` at the current level.
-    pub(crate) fn power_w(&self, mode: MeMode, ladder: &VfLadder, params: &PowerParams) -> f64 {
-        let scale = self.level(ladder).power_scale(&ladder.top());
+    pub(crate) fn power_w(&self, mode: MeMode, power: &PowerTable) -> f64 {
+        let [active, idle] = power.0[self.level_idx];
         match mode {
-            MeMode::Busy | MeMode::Polling => params.me_active_w * scale,
-            MeMode::Idle | MeMode::Stalled => params.me_active_w * params.idle_factor * scale,
+            MeMode::Busy | MeMode::Polling => active,
+            MeMode::Idle | MeMode::Stalled => idle,
         }
     }
 
     /// Closes the accounting interval `[mode_since, now]` under the
     /// current mode, accumulating wall time and energy.
-    pub(crate) fn account(&mut self, now: SimTime, ladder: &VfLadder, params: &PowerParams) {
+    pub(crate) fn account(&mut self, now: SimTime, power: &PowerTable) {
         debug_assert!(now >= self.mode_since, "accounting time went backwards");
         let dt = now.saturating_sub(self.mode_since);
         if dt > SimTime::ZERO {
             self.acc.add(self.mode, dt);
             self.window_acc.add(self.mode, dt);
-            self.energy_uj += self.power_w(self.mode, ladder, params) * dt.as_secs() * 1e6;
+            self.energy_uj += self.power_w(self.mode, power) * dt.as_secs() * 1e6;
             self.level_acc[self.level_idx] += dt;
         }
         self.mode_since = now;
     }
 
     /// Accounts up to `now` and switches to `mode`.
-    pub(crate) fn set_mode(
-        &mut self,
-        now: SimTime,
-        mode: MeMode,
-        ladder: &VfLadder,
-        params: &PowerParams,
-    ) {
-        self.account(now, ladder, params);
+    pub(crate) fn set_mode(&mut self, now: SimTime, mode: MeMode, power: &PowerTable) {
+        self.account(now, power);
         self.mode = mode;
     }
 
     /// Energy of the still-open interval `[mode_since, now]`, µJ.
-    pub(crate) fn pending_energy_uj(
-        &self,
-        now: SimTime,
-        ladder: &VfLadder,
-        params: &PowerParams,
-    ) -> f64 {
+    pub(crate) fn pending_energy_uj(&self, now: SimTime, power: &PowerTable) -> f64 {
         let dt = now.saturating_sub(self.mode_since);
-        self.power_w(self.mode, ladder, params) * dt.as_secs() * 1e6
+        self.power_w(self.mode, power) * dt.as_secs() * 1e6
     }
 }
 
@@ -240,6 +253,10 @@ mod tests {
 
     fn me() -> Microengine {
         Microengine::new(MeRole::Rx, 4, VfLadder::xscale_npu().top_index())
+    }
+
+    fn paper_power() -> PowerTable {
+        PowerTable::new(&VfLadder::xscale_npu(), &PowerParams::default())
     }
 
     #[test]
@@ -256,12 +273,11 @@ mod tests {
 
     #[test]
     fn accounting_accumulates_time_and_energy() {
-        let ladder = VfLadder::xscale_npu();
-        let params = PowerParams::default();
+        let power = paper_power();
         let mut m = me();
         m.mode = MeMode::Busy;
         m.mode_since = SimTime::ZERO;
-        m.account(SimTime::from_us(10), &ladder, &params);
+        m.account(SimTime::from_us(10), &power);
         assert_eq!(m.acc.get(MeMode::Busy), SimTime::from_us(10));
         // 0.18 W for 10us = 1.8 uJ.
         assert!((m.energy_uj - 1.8).abs() < 1e-9, "energy {}", m.energy_uj);
@@ -269,34 +285,53 @@ mod tests {
 
     #[test]
     fn idle_power_is_reduced() {
-        let ladder = VfLadder::xscale_npu();
-        let params = PowerParams::default();
+        let power = paper_power();
         let m = me();
-        let busy = m.power_w(MeMode::Busy, &ladder, &params);
-        let idle = m.power_w(MeMode::Idle, &ladder, &params);
-        assert!((idle / busy - params.idle_factor).abs() < 1e-12);
+        let busy = m.power_w(MeMode::Busy, &power);
+        let idle = m.power_w(MeMode::Idle, &power);
+        assert!((idle / busy - PowerParams::default().idle_factor).abs() < 1e-12);
         // Polling costs the same as busy.
-        assert_eq!(m.power_w(MeMode::Polling, &ladder, &params), busy);
+        assert_eq!(m.power_w(MeMode::Polling, &power), busy);
     }
 
     #[test]
     fn lower_level_cuts_power() {
-        let ladder = VfLadder::xscale_npu();
-        let params = PowerParams::default();
+        let power = paper_power();
         let mut m = me();
-        let top = m.power_w(MeMode::Busy, &ladder, &params);
+        let top = m.power_w(MeMode::Busy, &power);
         m.level_idx = 0;
-        let bottom = m.power_w(MeMode::Busy, &ladder, &params);
+        let bottom = m.power_w(MeMode::Busy, &power);
         assert!((bottom / top - 0.477).abs() < 0.01);
     }
 
     #[test]
-    fn set_mode_closes_interval() {
+    fn power_table_is_the_power_model_bit_for_bit() {
         let ladder = VfLadder::xscale_npu();
         let params = PowerParams::default();
+        let power = PowerTable::new(&ladder, &params);
+        let mut m = me();
+        for level in 0..ladder.len() {
+            m.level_idx = level;
+            let scale = ladder.point(level).power_scale(&ladder.top());
+            let active = params.me_active_w * scale;
+            let idle = params.me_active_w * params.idle_factor * scale;
+            for (mode, watts) in [
+                (MeMode::Busy, active),
+                (MeMode::Polling, active),
+                (MeMode::Idle, idle),
+                (MeMode::Stalled, idle),
+            ] {
+                assert_eq!(m.power_w(mode, &power).to_bits(), watts.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn set_mode_closes_interval() {
+        let power = paper_power();
         let mut m = me();
         m.mode = MeMode::Idle;
-        m.set_mode(SimTime::from_us(4), MeMode::Busy, &ladder, &params);
+        m.set_mode(SimTime::from_us(4), MeMode::Busy, &power);
         assert_eq!(m.acc.get(MeMode::Idle), SimTime::from_us(4));
         assert_eq!(m.mode, MeMode::Busy);
         assert_eq!(m.mode_since, SimTime::from_us(4));
@@ -304,12 +339,11 @@ mod tests {
 
     #[test]
     fn pending_energy_matches_future_accounting() {
-        let ladder = VfLadder::xscale_npu();
-        let params = PowerParams::default();
+        let power = paper_power();
         let mut m = me();
         m.mode = MeMode::Busy;
-        let pending = m.pending_energy_uj(SimTime::from_us(7), &ladder, &params);
-        m.account(SimTime::from_us(7), &ladder, &params);
+        let pending = m.pending_energy_uj(SimTime::from_us(7), &power);
+        m.account(SimTime::from_us(7), &power);
         assert!((pending - m.energy_uj).abs() < 1e-12);
     }
 

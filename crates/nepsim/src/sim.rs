@@ -35,7 +35,7 @@ use obs::{Channel, NullRecorder, Recorder, Recording};
 use traffic::{Packet, PacketSource, RecordedTrace, TrafficModel};
 
 use crate::config::NpuConfig;
-use crate::engine::{MeMode, MeRole, Microengine, ThreadState};
+use crate::engine::{MeMode, MeRole, Microengine, PowerTable, ThreadState};
 use crate::memory::{MemoryController, TxBus};
 use crate::power::EnergyMeter;
 use crate::report::{MeReport, SimReport, WindowIdleSample};
@@ -72,6 +72,8 @@ pub struct Simulator {
     config: NpuConfig,
     queue: EventQueue<Ev>,
     mes: Vec<Microengine>,
+    /// ME power per VF level, built once from the ladder and power model.
+    power: PowerTable,
     sram: MemoryController,
     sdram: MemoryController,
     bus: TxBus,
@@ -148,6 +150,7 @@ impl Simulator {
         Simulator {
             queue: EventQueue::new(),
             mes,
+            power: PowerTable::new(&config.ladder, &config.power),
             sram: MemoryController::new(mem.sram_latency, mem.sram_service, mem.sram_energy_uj),
             sdram: MemoryController::new(mem.sdram_latency, mem.sdram_service, mem.sdram_energy_uj),
             bus: TxBus::new(config.bus_rate_mbps),
@@ -364,7 +367,7 @@ impl Simulator {
     /// mid-run: accounting resumes from `at`).
     fn close_accounting(&mut self, at: SimTime) {
         for m in 0..self.mes.len() {
-            self.mes[m].account(at, &self.config.ladder, &self.config.power);
+            self.mes[m].account(at, &self.power);
         }
     }
 
@@ -429,8 +432,10 @@ impl Simulator {
 
         if self.rx_fifo.len() < self.config.rx_fifo_cap {
             self.rx_fifo.push_back(p);
-            let annots = self.fifo_annotations(now);
-            self.trace.fifo(annots);
+            if self.config.trace.emit_fifo {
+                let annots = self.fifo_annotations(now);
+                self.trace.fifo(annots);
+            }
             self.wake_role(MeRole::Rx, now);
         } else {
             self.dropped_packets += 1;
@@ -450,7 +455,7 @@ impl Simulator {
         self.windows += 1;
         // Close accounting so window buckets are complete.
         for m in 0..self.mes.len() {
-            self.mes[m].account(now, &self.config.ladder, &self.config.power);
+            self.mes[m].account(now, &self.power);
         }
         // Sample per-ME idle fractions (the §4.2 observation data) and
         // assemble the policy's view of each microengine.
@@ -569,7 +574,7 @@ impl Simulator {
         if me.level_idx == new_level {
             return;
         }
-        me.account(now, &self.config.ladder, &self.config.power);
+        me.account(now, &self.power);
         me.level_idx = new_level;
         me.switches += 1;
         me.stalled_until = now + SWITCH_PENALTY;
@@ -653,14 +658,16 @@ impl Simulator {
 
     /// Round-robin selection of the next ready thread.
     fn pick_ready_thread(&mut self, m: usize) -> Option<usize> {
-        let n = self.mes[m].threads.len();
-        let start = self.mes[m].next_thread;
-        for k in 0..n {
-            let ti = (start + k) % n;
-            if self.mes[m].threads[ti].state == ThreadState::Ready {
-                self.mes[m].next_thread = (ti + 1) % n;
+        let me = &mut self.mes[m];
+        let n = me.threads.len();
+        let mut ti = me.next_thread;
+        for _ in 0..n {
+            let next = if ti + 1 == n { 0 } else { ti + 1 };
+            if me.threads[ti].state == ThreadState::Ready {
+                me.next_thread = next;
                 return Some(ti);
             }
+            ti = next;
         }
         None
     }
@@ -764,7 +771,7 @@ impl Simulator {
     }
 
     fn set_mode(&mut self, m: usize, now: SimTime, mode: MeMode) {
-        self.mes[m].set_mode(now, mode, &self.config.ladder, &self.config.power);
+        self.mes[m].set_mode(now, mode, &self.power);
     }
 
     // ------------------------------------------------------------------
@@ -776,9 +783,7 @@ impl Simulator {
         let me: f64 = self
             .mes
             .iter()
-            .map(|m| {
-                m.energy_uj + m.pending_energy_uj(now, &self.config.ladder, &self.config.power)
-            })
+            .map(|m| m.energy_uj + m.pending_energy_uj(now, &self.power))
             .sum();
         me + self.sram.energy_uj()
             + self.sdram.energy_uj()
