@@ -305,28 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn power_table_is_the_power_model_bit_for_bit() {
-        let ladder = VfLadder::xscale_npu();
-        let params = PowerParams::default();
-        let power = PowerTable::new(&ladder, &params);
-        let mut m = me();
-        for level in 0..ladder.len() {
-            m.level_idx = level;
-            let scale = ladder.point(level).power_scale(&ladder.top());
-            let active = params.me_active_w * scale;
-            let idle = params.me_active_w * params.idle_factor * scale;
-            for (mode, watts) in [
-                (MeMode::Busy, active),
-                (MeMode::Polling, active),
-                (MeMode::Idle, idle),
-                (MeMode::Stalled, idle),
-            ] {
-                assert_eq!(m.power_w(mode, &power).to_bits(), watts.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn set_mode_closes_interval() {
         let power = paper_power();
         let mut m = me();
