@@ -94,7 +94,7 @@ use std::time::Instant;
 
 use abdex::compare::{try_compare_policies, ComparisonConfig};
 use abdex::experiment::partition_cells;
-use abdex::fleet::{run_fleet, DispatchRegistry, FleetConfig, FleetPolicyRegistry};
+use abdex::fleet::{run_fleet, DispatchSpec, FleetConfig, FleetPolicySpec};
 use abdex::json::{
     comparison_json, experiment_json, replicated_compare_json, replicated_run_json,
     replicated_sweep_json, sweep_json, tdvs_sweep_json,
@@ -117,9 +117,9 @@ use abdex::traceio::{analyze_trace, generate_trace};
 use abdex::traffic::RecordedTrace;
 use abdex::{
     optimal_tdvs, run_experiments, ConfidenceLevel, DesignPriority, Experiment, GridCell, JobError,
-    PolicyRegistry, PolicySpec, ProgressMode, Runner, SweepAxis, TdvsGrid, TrafficRegistry,
-    TrafficSpec, PAPER_RUN_CYCLES,
+    PolicySpec, ProgressMode, Runner, SweepAxis, TdvsGrid, TrafficSpec, PAPER_RUN_CYCLES,
 };
+use kvspec::{Params, Registry};
 use loc::{parse, Analyzer, Checker, Trace};
 
 const USAGE: &str = "\
@@ -413,8 +413,15 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             ],
         )
         .and_then(|()| cmd_compare(&opts)),
-        "policies" => check_opts(&opts, &[]).and_then(|()| cmd_policies()),
-        "traffics" => check_opts(&opts, &[]).and_then(|()| cmd_traffics()),
+        "policies" => check_opts(&opts, &[]).and_then(|()| {
+            print_registry(
+                "DVS policies",
+                PolicySpec::registry(),
+                Some(|spec| spec.kind().to_string()),
+            )
+        }),
+        "traffics" => check_opts(&opts, &[])
+            .and_then(|()| print_registry("traffic models", TrafficSpec::registry(), None)),
         "check" => check_opts(&opts, &["formula", "trace"]).and_then(|()| cmd_check(&opts)),
         "analyze" => check_opts(&opts, &["formula", "trace"]).and_then(|()| cmd_analyze(&opts)),
         "codegen" => check_opts(&opts, &["formula"]).and_then(|()| cmd_codegen(&opts)),
@@ -1164,8 +1171,7 @@ fn cmd_fleet(rest: &[String]) -> Result<(), String> {
                     "fleet dispatchers takes no arguments, found '{stray}'"
                 ));
             }
-            cmd_fleet_dispatchers();
-            Ok(())
+            print_registry("dispatchers", DispatchSpec::registry(), None)
         }
         "policies" => {
             if let Some(stray) = rest.first() {
@@ -1173,8 +1179,7 @@ fn cmd_fleet(rest: &[String]) -> Result<(), String> {
                     "fleet policies takes no arguments, found '{stray}'"
                 ));
             }
-            cmd_fleet_policies();
-            Ok(())
+            print_registry("fleet policies", FleetPolicySpec::registry(), None)
         }
         other => Err(format!(
             "unknown fleet subcommand '{other}' (expected `run`, `dispatchers` or `policies`)"
@@ -1189,13 +1194,13 @@ fn cmd_fleet_run(opts: &Opts) -> Result<(), String> {
         return Err("--chips needs at least one chip".to_owned());
     }
     if let Some(spec) = opts.get("dispatch") {
-        config.dispatch = abdex::DispatchSpec::parse(spec).map_err(|e| e.to_string())?;
+        config.dispatch = DispatchSpec::parse(spec).map_err(|e| e.to_string())?;
     }
     config.benchmark = benchmark(opts)?;
     config.traffic = traffic(opts)?;
     config.policy = policy(opts)?;
     if let Some(spec) = opts.get("fleet-policy") {
-        config.fleet_policy = abdex::FleetPolicySpec::parse(spec).map_err(|e| e.to_string())?;
+        config.fleet_policy = FleetPolicySpec::parse(spec).map_err(|e| e.to_string())?;
     }
     config.cycles = number(opts, "cycles", config.cycles)?;
     if config.cycles == 0 {
@@ -1310,75 +1315,32 @@ fn cmd_obs_summarize(path: &str, opts: &Opts) -> Result<(), String> {
     write_json(opts, || abdex::summarize::render_summary_json(&summary))
 }
 
-fn cmd_fleet_dispatchers() {
-    let registry = DispatchRegistry::builtin();
-    println!("registered dispatchers (spec grammar: name[:key=val,...]):\n");
-    for info in registry.infos() {
-        let aliases = if info.aliases.is_empty() {
+/// Prints one spec registry: a line per entry (name, optional label,
+/// summary, aliases) followed by its parameters. `label` derives a
+/// column from the entry's default spec.
+fn print_registry<S>(
+    what: &str,
+    registry: &Registry<S>,
+    label: Option<fn(&S) -> String>,
+) -> Result<(), String> {
+    println!("registered {what} (spec grammar: name[:key=val,...]):\n");
+    for entry in registry.infos() {
+        let aliases = if entry.aliases.is_empty() {
             String::new()
         } else {
-            format!(" (aliases: {})", info.aliases.join(", "))
+            format!(" (aliases: {})", entry.aliases.join(", "))
         };
-        println!("{:<14} {}{}", info.name, info.summary, aliases);
-        for p in info.params {
-            println!("    {:<12} [{}] {}", p.key, p.default, p.help);
-        }
-        println!();
-    }
-}
-
-fn cmd_fleet_policies() {
-    let registry = FleetPolicyRegistry::builtin();
-    println!("registered fleet policies (spec grammar: name[:key=val,...]):\n");
-    for info in registry.infos() {
-        let aliases = if info.aliases.is_empty() {
-            String::new()
-        } else {
-            format!(" (aliases: {})", info.aliases.join(", "))
+        let label = match label {
+            Some(label) => {
+                let spec = registry
+                    .build_spec(entry.name, Params::default())
+                    .map_err(|e| e.to_string())?;
+                format!("{:<6} ", label(&spec))
+            }
+            None => String::new(),
         };
-        println!("{:<14} {}{}", info.name, info.summary, aliases);
-        for p in info.params {
-            println!("    {:<12} [{}] {}", p.key, p.default, p.help);
-        }
-        println!();
-    }
-}
-
-fn cmd_policies() -> Result<(), String> {
-    let registry = PolicyRegistry::builtin();
-    println!("registered DVS policies (spec grammar: name[:key=val,...]):\n");
-    for info in registry.infos() {
-        let aliases = if info.aliases.is_empty() {
-            String::new()
-        } else {
-            format!(" (aliases: {})", info.aliases.join(", "))
-        };
-        println!(
-            "{:<14} {:<6} {}{}",
-            info.name,
-            info.kind.to_string(),
-            info.summary,
-            aliases
-        );
-        for p in info.params {
-            println!("    {:<12} [{}] {}", p.key, p.default, p.help);
-        }
-        println!();
-    }
-    Ok(())
-}
-
-fn cmd_traffics() -> Result<(), String> {
-    let registry = TrafficRegistry::builtin();
-    println!("registered traffic models (spec grammar: name[:key=val,...]):\n");
-    for info in registry.infos() {
-        let aliases = if info.aliases.is_empty() {
-            String::new()
-        } else {
-            format!(" (aliases: {})", info.aliases.join(", "))
-        };
-        println!("{:<14} {}{}", info.name, info.summary, aliases);
-        for p in info.params {
+        println!("{:<14} {label}{}{aliases}", entry.name, entry.summary);
+        for p in entry.params {
             println!("    {:<12} [{}] {}", p.key, p.default, p.help);
         }
         println!();

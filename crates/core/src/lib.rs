@@ -70,11 +70,11 @@ pub mod traceio;
 pub use cachefmt::run_cached;
 pub use ccache::{Cache, CacheCounters, CacheStats, CACHE_EPOCH};
 pub use compare::{compare_policies, try_compare_policies, ComparisonRow, PolicyComparison};
-pub use dvs::{DvsPolicy, PolicyKind, PolicyRegistry, PolicySpec};
+pub use dvs::{DvsPolicy, PolicyKind, PolicySpec};
 pub use experiment::{run_experiments, Experiment, ExperimentResult, PAPER_RUN_CYCLES};
 pub use fleet::{
-    run_fleet, DispatchRegistry, DispatchSpec, Dispatcher, FleetConfig, FleetOutcome, FleetPolicy,
-    FleetPolicyRegistry, FleetPolicySpec, FleetReport,
+    run_fleet, DispatchSpec, Dispatcher, FleetConfig, FleetOutcome, FleetPolicy, FleetPolicySpec,
+    FleetReport,
 };
 pub use json::SCHEMA_VERSION;
 pub use optimal::{optimal_tdvs, DesignPriority};
@@ -98,7 +98,7 @@ pub use sweep::{sweep_tdvs, try_sweep_tdvs, GridCell, SweepAxis, TdvsGrid};
 pub use traceio::{
     analyze_trace, generate_trace, parse_provenance, StreamStats, TraceAnalysis, TraceProvenance,
 };
-pub use traffic::{TrafficModel, TrafficRegistry, TrafficSpec};
+pub use traffic::{TrafficModel, TrafficSpec};
 pub use xrun::{Job, JobError, JobResult, JobSpec, ProgressMode, Runner};
 
 // Re-export the substrate crates so downstream users need only `abdex`.

@@ -65,6 +65,25 @@ fn policies_lists_the_registry() {
     }
     assert!(text.contains("threshold"));
     assert!(text.contains("kp"));
+    // The label column is derived from each entry's default spec.
+    for (name, label) in [
+        ("nodvs", "noDVS"),
+        ("tdvs", "TDVS"),
+        ("edvs", "EDVS"),
+        ("combined", "TEDVS"),
+        ("queue", "QDVS"),
+        ("proportional", "PDVS"),
+    ] {
+        let line = text
+            .lines()
+            .find(|l| l.starts_with(&format!("{name} ")))
+            .unwrap_or_else(|| panic!("no line for '{name}'"));
+        assert_eq!(
+            line.split_whitespace().nth(1),
+            Some(label),
+            "wrong label: {line}"
+        );
+    }
 }
 
 #[test]
@@ -475,6 +494,15 @@ fn traffics_lists_the_registry() {
     }
     assert!(text.contains("on_mbps"));
     assert!(text.contains("peak_mbps"));
+    // `trace` replays what `trace generate` writes, not a LOC event trace.
+    let trace = text
+        .lines()
+        .find(|l| l.starts_with("trace "))
+        .expect("a trace line");
+    assert!(
+        trace.contains("see `abdex trace generate -o FILE`"),
+        "{trace}"
+    );
 }
 
 #[test]

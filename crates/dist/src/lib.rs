@@ -6,8 +6,9 @@
 //! `min`/`max` clamps. Specs parse from and render to the same three
 //! flat grammars every other component family uses (CLI
 //! `pareto:alpha=1.3,scale=200,max=1500`, flat TOML with a
-//! `dist = "name"` entry, flat JSON objects), resolved through the
-//! [`DistRegistry`] with the usual UnknownName/UnknownParam listings.
+//! `dist = "name"` entry, flat JSON objects), resolved through
+//! [`DistSpec::registry`] (a `kvspec::Registry`) with the usual
+//! UnknownName/UnknownParam listings.
 //!
 //! Two contracts matter downstream:
 //!
@@ -39,8 +40,6 @@ pub use kvspec::{ParamInfo, SpecError};
 pub mod fit;
 pub mod math;
 mod registry;
-
-pub use registry::{DistInfo, DistRegistry};
 
 /// The distribution shapes the family knows, with their parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,31 +171,7 @@ impl DistSpec {
     /// Returns a [`SpecError`] for unknown names/keys, unparsable
     /// values or values outside a distribution's valid range.
     pub fn parse(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_cli(input)?;
-        DistRegistry::builtin().build_spec(&name, params)
-    }
-
-    /// Parses a flat TOML fragment: a `dist = "name"` entry plus one
-    /// `key = value` line per parameter.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for syntax errors, a missing `dist` key,
-    /// or any parameter problem [`DistSpec::parse`] would report.
-    pub fn from_toml_str(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_flat_toml(input, "dist")?;
-        DistRegistry::builtin().build_spec(&name, params)
-    }
-
-    /// Parses a flat JSON object `{"dist": "name", "key": value, ...}`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for syntax errors, a missing `dist` key,
-    /// or any parameter problem [`DistSpec::parse`] would report.
-    pub fn from_json_str(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_flat_json(input, "dist")?;
-        DistRegistry::builtin().build_spec(&name, params)
+        DistSpec::registry().parse_cli(input)
     }
 
     /// Renders the spec in the CLI grammar; [`DistSpec::parse`] of the
@@ -206,15 +181,15 @@ impl DistSpec {
         kvspec::render_cli(self.name(), &self.params())
     }
 
-    /// Renders the spec as a flat TOML fragment;
-    /// [`DistSpec::from_toml_str`] of the result reproduces it.
+    /// Renders the spec as a flat TOML fragment; the registry's
+    /// `parse_toml` of the result reproduces it.
     #[must_use]
     pub fn to_toml_string(&self) -> String {
         kvspec::render_flat_toml("dist", self.name(), &self.params())
     }
 
-    /// Renders the spec as a flat JSON object;
-    /// [`DistSpec::from_json_str`] of the result reproduces it.
+    /// Renders the spec as a flat JSON object; the registry's
+    /// `parse_json` of the result reproduces it.
     #[must_use]
     pub fn to_json_string(&self) -> String {
         kvspec::render_flat_json("dist", self.name(), &self.params())

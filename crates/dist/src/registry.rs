@@ -1,46 +1,13 @@
 //! The distribution registry: every built-in [`DistKind`], discoverable
-//! by name — the same entry shape as `traffic::TrafficRegistry` and
-//! `dvs::PolicyRegistry`, so `abdex dists` can render it and error
-//! messages list what *would* have worked.
+//! by name through a [`kvspec::Registry`] like every other spec family,
+//! so error messages list what *would* have worked. The `stochastic`
+//! traffic model parses its `gap`/`size` values through it.
 
 use std::sync::OnceLock;
 
-use kvspec::{ParamInfo, Params, SpecError};
+use kvspec::{Entry, ParamInfo, Params, Registry, SpecError};
 
 use crate::{DistKind, DistSpec};
-
-/// Metadata for one registered distribution.
-#[derive(Debug, Clone, Copy)]
-pub struct DistInfo {
-    /// Canonical name used in specs and help output.
-    pub name: &'static str,
-    /// Accepted alternative names.
-    pub aliases: &'static [&'static str],
-    /// One-line description.
-    pub summary: &'static str,
-    /// Accepted parameters (every entry also accepts `min`/`max`).
-    pub params: &'static [ParamInfo],
-}
-
-type BuildFn = fn(&mut Params) -> Result<DistKind, SpecError>;
-
-struct Entry {
-    info: DistInfo,
-    build: BuildFn,
-}
-
-/// Name-indexed collection of distribution builders.
-pub struct DistRegistry {
-    entries: Vec<Entry>,
-}
-
-impl std::fmt::Debug for DistRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DistRegistry")
-            .field("names", &self.name_list())
-            .finish()
-    }
-}
 
 const MIN_PARAM: ParamInfo = ParamInfo {
     key: "min",
@@ -54,14 +21,17 @@ const MAX_PARAM: ParamInfo = ParamInfo {
     help: "lower samples above this to it (tames heavy tails)",
 };
 
-impl DistRegistry {
-    /// The registry of built-in distributions.
-    pub fn builtin() -> &'static DistRegistry {
-        static REGISTRY: OnceLock<DistRegistry> = OnceLock::new();
-        REGISTRY.get_or_init(|| DistRegistry {
-            entries: vec![
-                Entry {
-                    info: DistInfo {
+impl DistSpec {
+    /// The registry of built-in distributions. Every entry also accepts
+    /// the `min`/`max` clamps.
+    pub fn registry() -> &'static Registry<DistSpec> {
+        static REGISTRY: OnceLock<Registry<DistSpec>> = OnceLock::new();
+        REGISTRY.get_or_init(|| {
+            Registry::new(
+                "distribution",
+                "dist",
+                vec![
+                    Entry {
                         name: "lognormal",
                         aliases: &["log-normal"],
                         summary: "exp(mu + sigma*Z): elephant-and-mice sizes",
@@ -79,11 +49,9 @@ impl DistRegistry {
                             MIN_PARAM,
                             MAX_PARAM,
                         ],
+                        build: build_lognormal,
                     },
-                    build: build_lognormal,
-                },
-                Entry {
-                    info: DistInfo {
+                    Entry {
                         name: "pareto",
                         aliases: &["powerlaw"],
                         summary: "power-law tail (alpha <= 1 needs max= for a finite mean)",
@@ -101,11 +69,9 @@ impl DistRegistry {
                             MIN_PARAM,
                             MAX_PARAM,
                         ],
+                        build: build_pareto,
                     },
-                    build: build_pareto,
-                },
-                Entry {
-                    info: DistInfo {
+                    Entry {
                         name: "weibull",
                         aliases: &[],
                         summary: "stretched exponential (shape < 1: sub-exponential tail)",
@@ -123,11 +89,9 @@ impl DistRegistry {
                             MIN_PARAM,
                             MAX_PARAM,
                         ],
+                        build: build_weibull,
                     },
-                    build: build_weibull,
-                },
-                Entry {
-                    info: DistInfo {
+                    Entry {
                         name: "exponential",
                         aliases: &["exp"],
                         summary: "memoryless gaps with the given mean",
@@ -140,11 +104,9 @@ impl DistRegistry {
                             MIN_PARAM,
                             MAX_PARAM,
                         ],
+                        build: build_exponential,
                     },
-                    build: build_exponential,
-                },
-                Entry {
-                    info: DistInfo {
+                    Entry {
                         name: "poisson",
                         aliases: &[],
                         summary: "discrete counts with mean lambda",
@@ -157,11 +119,9 @@ impl DistRegistry {
                             MIN_PARAM,
                             MAX_PARAM,
                         ],
+                        build: build_poisson,
                     },
-                    build: build_poisson,
-                },
-                Entry {
-                    info: DistInfo {
+                    Entry {
                         name: "uniform",
                         aliases: &[],
                         summary: "uniform on [low, high)",
@@ -179,11 +139,9 @@ impl DistRegistry {
                             MIN_PARAM,
                             MAX_PARAM,
                         ],
+                        build: build_uniform,
                     },
-                    build: build_uniform,
-                },
-                Entry {
-                    info: DistInfo {
+                    Entry {
                         name: "constant",
                         aliases: &["fixed"],
                         summary: "a point mass (consumes no randomness)",
@@ -196,99 +154,42 @@ impl DistRegistry {
                             MIN_PARAM,
                             MAX_PARAM,
                         ],
+                        build: build_constant,
                     },
-                    build: build_constant,
-                },
-            ],
+                ],
+            )
         })
-    }
-
-    /// Builds a validated spec for `name` (case-insensitive) from raw
-    /// parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for unknown names, unknown keys or
-    /// invalid values.
-    pub fn build_spec(&self, name: &str, mut params: Params) -> Result<DistSpec, SpecError> {
-        let wanted = name.to_ascii_lowercase();
-        let entry = self
-            .entries
-            .iter()
-            .find(|e| e.info.name == wanted || e.info.aliases.contains(&wanted.as_str()))
-            .ok_or_else(|| SpecError::UnknownName {
-                kind: "distribution",
-                name: wanted,
-                known: self.name_list(),
-            })?;
-        let build = || -> Result<DistSpec, SpecError> {
-            let kind = (entry.build)(&mut params)?;
-            let min = params.maybe_f64("min")?;
-            let max = params.maybe_f64("max")?;
-            params.finish(entry.info.name)?;
-            for (key, value) in [("min", min), ("max", max)] {
-                if let Some(v) = value {
-                    if !v.is_finite() {
-                        return Err(SpecError::InvalidValue {
-                            key: key.to_owned(),
-                            value: v.to_string(),
-                            expected: "a finite clamp bound",
-                        });
-                    }
-                }
-            }
-            if let (Some(a), Some(b)) = (min, max) {
-                if a > b {
-                    return Err(SpecError::InvalidValue {
-                        key: "min".to_owned(),
-                        value: a.to_string(),
-                        expected: "a lower bound not above max",
-                    });
-                }
-            }
-            Ok(DistSpec { kind, min, max })
-        };
-        build().map_err(|e| e.with_accepted_keys(entry.info.params))
-    }
-
-    /// Metadata for every registered distribution, registration order.
-    pub fn infos(&self) -> impl Iterator<Item = &DistInfo> {
-        self.entries.iter().map(|e| &e.info)
-    }
-
-    /// Metadata for one distribution, by name or alias
-    /// (case-insensitive).
-    #[must_use]
-    pub fn info(&self, name: &str) -> Option<&DistInfo> {
-        let wanted = name.to_ascii_lowercase();
-        self.entries
-            .iter()
-            .map(|e| &e.info)
-            .find(|i| i.name == wanted || i.aliases.contains(&wanted.as_str()))
-    }
-
-    /// Comma-separated canonical names (for error messages and help).
-    #[must_use]
-    pub fn name_list(&self) -> String {
-        self.entries
-            .iter()
-            .map(|e| e.info.name)
-            .collect::<Vec<_>>()
-            .join(", ")
     }
 }
 
-fn take_positive(params: &mut Params, key: &'static str, default: f64) -> Result<f64, SpecError> {
-    let value = params.f64(key, default)?;
-    if value.is_finite() && value > 0.0 {
-        Ok(value)
-    } else {
-        Err(SpecError::InvalidValue {
-            key: key.to_owned(),
-            value: value.to_string(),
-            expected: "a positive number",
-        })
+/// Takes the `min`/`max` clamps every entry accepts, finishes `params`
+/// under `kind`'s name and assembles the spec.
+fn clamped(mut params: Params, kind: DistKind) -> Result<DistSpec, SpecError> {
+    let min = params.maybe_f64("min")?;
+    let max = params.maybe_f64("max")?;
+    let spec = DistSpec { kind, min, max };
+    params.finish(spec.name())?;
+    for (key, value) in [("min", min), ("max", max)] {
+        if let Some(v) = value {
+            if !v.is_finite() {
+                return Err(SpecError::InvalidValue {
+                    key: key.to_owned(),
+                    value: v.to_string(),
+                    expected: "a finite clamp bound",
+                });
+            }
+        }
     }
+    if let (Some(a), Some(b)) = (min, max) {
+        if a > b {
+            return Err(SpecError::InvalidValue {
+                key: "min".to_owned(),
+                value: a.to_string(),
+                expected: "a lower bound not above max",
+            });
+        }
+    }
+    Ok(spec)
 }
 
 fn take_finite(params: &mut Params, key: &'static str, default: f64) -> Result<f64, SpecError> {
@@ -304,31 +205,31 @@ fn take_finite(params: &mut Params, key: &'static str, default: f64) -> Result<f
     }
 }
 
-fn build_lognormal(params: &mut Params) -> Result<DistKind, SpecError> {
-    let mu = take_finite(params, "mu", 6.0)?;
-    let sigma = take_positive(params, "sigma", 1.0)?;
-    Ok(DistKind::LogNormal { mu, sigma })
+fn build_lognormal(mut params: Params) -> Result<DistSpec, SpecError> {
+    let mu = take_finite(&mut params, "mu", 6.0)?;
+    let sigma = params.positive_f64("sigma", 1.0)?;
+    clamped(params, DistKind::LogNormal { mu, sigma })
 }
 
-fn build_pareto(params: &mut Params) -> Result<DistKind, SpecError> {
-    let alpha = take_positive(params, "alpha", 1.5)?;
-    let scale = take_positive(params, "scale", 100.0)?;
-    Ok(DistKind::Pareto { alpha, scale })
+fn build_pareto(mut params: Params) -> Result<DistSpec, SpecError> {
+    let alpha = params.positive_f64("alpha", 1.5)?;
+    let scale = params.positive_f64("scale", 100.0)?;
+    clamped(params, DistKind::Pareto { alpha, scale })
 }
 
-fn build_weibull(params: &mut Params) -> Result<DistKind, SpecError> {
-    let shape = take_positive(params, "shape", 1.0)?;
-    let scale = take_positive(params, "scale", 100.0)?;
-    Ok(DistKind::Weibull { shape, scale })
+fn build_weibull(mut params: Params) -> Result<DistSpec, SpecError> {
+    let shape = params.positive_f64("shape", 1.0)?;
+    let scale = params.positive_f64("scale", 100.0)?;
+    clamped(params, DistKind::Weibull { shape, scale })
 }
 
-fn build_exponential(params: &mut Params) -> Result<DistKind, SpecError> {
-    let mean = take_positive(params, "mean", 100.0)?;
-    Ok(DistKind::Exponential { mean })
+fn build_exponential(mut params: Params) -> Result<DistSpec, SpecError> {
+    let mean = params.positive_f64("mean", 100.0)?;
+    clamped(params, DistKind::Exponential { mean })
 }
 
-fn build_poisson(params: &mut Params) -> Result<DistKind, SpecError> {
-    let lambda = take_positive(params, "lambda", 100.0)?;
+fn build_poisson(mut params: Params) -> Result<DistSpec, SpecError> {
+    let lambda = params.positive_f64("lambda", 100.0)?;
     // Sampling is O(λ) uniforms per draw; bound it to keep streams fast.
     if lambda > 1e6 {
         return Err(SpecError::InvalidValue {
@@ -337,12 +238,12 @@ fn build_poisson(params: &mut Params) -> Result<DistKind, SpecError> {
             expected: "a mean count in (0, 1e6]",
         });
     }
-    Ok(DistKind::Poisson { lambda })
+    clamped(params, DistKind::Poisson { lambda })
 }
 
-fn build_uniform(params: &mut Params) -> Result<DistKind, SpecError> {
-    let low = take_finite(params, "low", 0.0)?;
-    let high = take_finite(params, "high", 1.0)?;
+fn build_uniform(mut params: Params) -> Result<DistSpec, SpecError> {
+    let low = take_finite(&mut params, "low", 0.0)?;
+    let high = take_finite(&mut params, "high", 1.0)?;
     if low >= high {
         return Err(SpecError::InvalidValue {
             key: "high".to_owned(),
@@ -350,12 +251,12 @@ fn build_uniform(params: &mut Params) -> Result<DistKind, SpecError> {
             expected: "an upper bound strictly above low",
         });
     }
-    Ok(DistKind::Uniform { low, high })
+    clamped(params, DistKind::Uniform { low, high })
 }
 
-fn build_constant(params: &mut Params) -> Result<DistKind, SpecError> {
-    let value = take_finite(params, "value", 100.0)?;
-    Ok(DistKind::Constant { value })
+fn build_constant(mut params: Params) -> Result<DistSpec, SpecError> {
+    let value = take_finite(&mut params, "value", 100.0)?;
+    clamped(params, DistKind::Constant { value })
 }
 
 #[cfg(test)]
@@ -364,7 +265,7 @@ mod tests {
 
     #[test]
     fn every_entry_builds_with_defaults() {
-        let registry = DistRegistry::builtin();
+        let registry = DistSpec::registry();
         for info in registry.infos() {
             let spec = registry
                 .build_spec(info.name, Params::default())
@@ -377,7 +278,7 @@ mod tests {
 
     #[test]
     fn aliases_resolve_to_the_same_spec() {
-        let registry = DistRegistry::builtin();
+        let registry = DistSpec::registry();
         for info in registry.infos() {
             let canonical = registry.build_spec(info.name, Params::default()).unwrap();
             for alias in info.aliases {
@@ -389,7 +290,7 @@ mod tests {
 
     #[test]
     fn documented_params_are_exactly_the_accepted_ones() {
-        let registry = DistRegistry::builtin();
+        let registry = DistSpec::registry();
         for info in registry.infos() {
             let mut params = Params::default();
             for p in info.params {
@@ -417,7 +318,7 @@ mod tests {
 
     #[test]
     fn every_entry_accepts_clamps() {
-        let registry = DistRegistry::builtin();
+        let registry = DistSpec::registry();
         for info in registry.infos() {
             let mut params = Params::default();
             params.insert("min", "1");
@@ -435,14 +336,14 @@ mod tests {
         let mut params = Params::default();
         params.insert("min", "10");
         params.insert("max", "5");
-        let err = DistRegistry::builtin()
+        let err = DistSpec::registry()
             .build_spec("exponential", params)
             .unwrap_err();
         assert!(matches!(err, SpecError::InvalidValue { ref key, .. } if key == "min"));
 
         let mut params = Params::default();
         params.insert("max", "inf");
-        let err = DistRegistry::builtin()
+        let err = DistSpec::registry()
             .build_spec("exponential", params)
             .unwrap_err();
         assert!(matches!(err, SpecError::InvalidValue { ref key, .. } if key == "max"));
@@ -462,9 +363,7 @@ mod tests {
         ] {
             let mut params = Params::default();
             params.insert(key, value);
-            let err = DistRegistry::builtin()
-                .build_spec(name, params)
-                .unwrap_err();
+            let err = DistSpec::registry().build_spec(name, params).unwrap_err();
             assert!(
                 matches!(err, SpecError::InvalidValue { .. }),
                 "{name}:{key}={value} gave {err:?}"
@@ -474,7 +373,7 @@ mod tests {
 
     #[test]
     fn unknown_name_lists_the_registry() {
-        let err = DistRegistry::builtin()
+        let err = DistSpec::registry()
             .build_spec("cauchy", Params::default())
             .unwrap_err();
         let text = err.to_string();
@@ -487,7 +386,7 @@ mod tests {
     fn unknown_param_lists_accepted_keys() {
         let mut params = Params::default();
         params.insert("flux", "9");
-        let text = DistRegistry::builtin()
+        let text = DistSpec::registry()
             .build_spec("pareto", params)
             .unwrap_err()
             .to_string();

@@ -14,7 +14,8 @@
 //! names a policy and its parameters — and *instantiated* with
 //! [`PolicySpec::build`]. Specs come from the CLI grammar
 //! (`tdvs:threshold=1400,window=40000`), TOML or JSON fragments, all
-//! resolved through the [`PolicyRegistry`]. Adding a policy is a
+//! resolved through [`PolicySpec::registry`], a `kvspec::Registry`.
+//! Adding a policy is a
 //! single-crate change: implement the trait, add a spec variant, register
 //! it (see the `registry` module docs for the walkthrough).
 //!
@@ -76,10 +77,10 @@ mod vf;
 pub use adapters::{CombinedPolicy, EdvsPolicy, NoDvsPolicy, TdvsPolicy};
 pub use combined::{Combined, CombinedConfig};
 pub use edvs::{Edvs, EdvsConfig};
+pub use kvspec::ParamInfo;
 pub use policy::{DvsPolicy, MeObservation, PolicyObservation, PolicyResponse, QueueObservation};
 pub use proportional::{Proportional, ProportionalConfig};
 pub use queue::{QueueAware, QueueAwareConfig};
-pub use registry::{ParamInfo, PolicyInfo, PolicyRegistry};
 pub use spec::{Params, PolicySpec, SpecError};
 pub use tdvs::{HysteresisTdvsConfig, Tdvs, TdvsConfig};
 pub use vf::{VfLadder, VfPoint};

@@ -1,7 +1,7 @@
 //! The policy registry: every built-in policy, discoverable by name.
 //!
 //! The registry is the single place a policy is wired into the
-//! workspace's surfaces. One entry gives a policy:
+//! workspace's surfaces. One [`kvspec::Entry`] gives a policy:
 //!
 //! * a **name** (plus aliases) reachable from the CLI grammar, TOML and
 //!   JSON (see [`PolicySpec`]),
@@ -10,81 +10,39 @@
 //!
 //! Adding a policy touches only this crate: implement
 //! [`DvsPolicy`](crate::DvsPolicy), add a [`PolicySpec`] variant, and
-//! register the entry in [`PolicyRegistry::builtin`].
+//! register the entry in [`PolicySpec::registry`].
 
 use std::sync::OnceLock;
 
-pub use kvspec::ParamInfo;
+use kvspec::{Entry, ParamInfo, Registry};
 
 use crate::spec::{Params, SpecError};
 use crate::{
-    CombinedConfig, EdvsConfig, PolicyKind, PolicySpec, ProportionalConfig, QueueAwareConfig,
-    TdvsConfig,
+    CombinedConfig, EdvsConfig, PolicySpec, ProportionalConfig, QueueAwareConfig, TdvsConfig,
 };
 
-/// Metadata for one registered policy.
-#[derive(Debug, Clone, Copy)]
-pub struct PolicyInfo {
-    /// Canonical name used in specs and help output.
-    pub name: &'static str,
-    /// Accepted alternative names.
-    pub aliases: &'static [&'static str],
-    /// The policy family label reports use.
-    pub kind: PolicyKind,
-    /// One-line description.
-    pub summary: &'static str,
-    /// Accepted parameters.
-    pub params: &'static [ParamInfo],
-}
-
-type BuildFn = fn(Params) -> Result<PolicySpec, SpecError>;
-
-struct Entry {
-    info: PolicyInfo,
-    build: BuildFn,
-}
-
-/// Name-indexed collection of policy builders.
-pub struct PolicyRegistry {
-    entries: Vec<Entry>,
-}
-
-impl std::fmt::Debug for PolicyRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PolicyRegistry")
-            .field("names", &self.name_list())
-            .finish()
-    }
-}
-
-impl PolicyRegistry {
+impl PolicySpec {
     /// The registry of built-in policies.
-    pub fn builtin() -> &'static PolicyRegistry {
-        static REGISTRY: OnceLock<PolicyRegistry> = OnceLock::new();
-        REGISTRY.get_or_init(|| PolicyRegistry {
-            entries: vec![
-                Entry {
-                    info: PolicyInfo {
+    pub fn registry() -> &'static Registry<PolicySpec> {
+        static REGISTRY: OnceLock<Registry<PolicySpec>> = OnceLock::new();
+        REGISTRY.get_or_init(|| {
+            Registry::new(
+                "policy",
+                "policy",
+                vec![
+                    Entry {
                         name: "nodvs",
                         aliases: &["none", "no-dvs"],
-                        kind: PolicyKind::NoDvs,
                         summary: "baseline: every ME pinned at the top VF level",
                         params: &[],
+                        build: build_nodvs,
                     },
-                    build: build_nodvs,
-                },
-                Entry {
-                    info: PolicyInfo {
+                    Entry {
                         name: "tdvs",
                         aliases: &["traffic"],
-                        kind: PolicyKind::Tdvs,
                         summary: "global traffic-threshold scaling (paper §4.1)",
                         params: &[
-                            ParamInfo {
-                                key: "threshold",
-                                default: "1000",
-                                help: "traffic threshold at the top level, Mbps",
-                            },
+                            THRESHOLD_PARAM,
                             WINDOW_PARAM,
                             ParamInfo {
                                 key: "hysteresis",
@@ -92,53 +50,25 @@ impl PolicyRegistry {
                                 help: "relative dead band around each threshold, [0, 1)",
                             },
                         ],
+                        build: build_tdvs,
                     },
-                    build: build_tdvs,
-                },
-                Entry {
-                    info: PolicyInfo {
+                    Entry {
                         name: "edvs",
                         aliases: &["execution"],
-                        kind: PolicyKind::Edvs,
                         summary: "per-ME idle-time scaling (paper §4.2)",
-                        params: &[
-                            ParamInfo {
-                                key: "idle",
-                                default: "0.10",
-                                help: "idle-fraction threshold, (0, 1)",
-                            },
-                            WINDOW_PARAM,
-                        ],
+                        params: &[IDLE_PARAM, WINDOW_PARAM],
+                        build: build_edvs,
                     },
-                    build: build_edvs,
-                },
-                Entry {
-                    info: PolicyInfo {
+                    Entry {
                         name: "combined",
                         aliases: &["tedvs"],
-                        kind: PolicyKind::Combined,
                         summary: "traffic AND idle must agree to scale down (TEDVS)",
-                        params: &[
-                            ParamInfo {
-                                key: "threshold",
-                                default: "1000",
-                                help: "traffic threshold at the top level, Mbps",
-                            },
-                            ParamInfo {
-                                key: "idle",
-                                default: "0.10",
-                                help: "idle-fraction threshold, (0, 1)",
-                            },
-                            WINDOW_PARAM,
-                        ],
+                        params: &[THRESHOLD_PARAM, IDLE_PARAM, WINDOW_PARAM],
+                        build: build_combined,
                     },
-                    build: build_combined,
-                },
-                Entry {
-                    info: PolicyInfo {
+                    Entry {
                         name: "queue",
                         aliases: &["qdvs", "queue-aware"],
-                        kind: PolicyKind::QueueAware,
                         summary: "global scaling on receive-FIFO occupancy watermarks",
                         params: &[
                             ParamInfo {
@@ -153,14 +83,11 @@ impl PolicyRegistry {
                             },
                             WINDOW_PARAM,
                         ],
+                        build: build_queue,
                     },
-                    build: build_queue,
-                },
-                Entry {
-                    info: PolicyInfo {
+                    Entry {
                         name: "proportional",
                         aliases: &["pid", "pdvs"],
-                        kind: PolicyKind::Proportional,
                         summary: "per-ME PI controller driving idle time to a setpoint",
                         params: &[
                             ParamInfo {
@@ -180,58 +107,25 @@ impl PolicyRegistry {
                             },
                             WINDOW_PARAM,
                         ],
+                        build: build_proportional,
                     },
-                    build: build_proportional,
-                },
-            ],
+                ],
+            )
         })
     }
-
-    /// Builds a validated spec for `name` from raw parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for unknown names, unknown keys or invalid
-    /// values.
-    pub fn build_spec(&self, name: &str, params: Params) -> Result<PolicySpec, SpecError> {
-        let wanted = name.to_ascii_lowercase();
-        let entry = self
-            .entries
-            .iter()
-            .find(|e| e.info.name == wanted || e.info.aliases.contains(&wanted.as_str()))
-            .ok_or_else(|| SpecError::UnknownName {
-                kind: "policy",
-                name: wanted,
-                known: self.name_list(),
-            })?;
-        (entry.build)(params).map_err(|e| e.with_accepted_keys(entry.info.params))
-    }
-
-    /// Metadata for every registered policy, registration order.
-    pub fn infos(&self) -> impl Iterator<Item = &PolicyInfo> {
-        self.entries.iter().map(|e| &e.info)
-    }
-
-    /// Metadata for one policy, by name or alias.
-    #[must_use]
-    pub fn info(&self, name: &str) -> Option<&PolicyInfo> {
-        let wanted = name.to_ascii_lowercase();
-        self.entries
-            .iter()
-            .map(|e| &e.info)
-            .find(|i| i.name == wanted || i.aliases.contains(&wanted.as_str()))
-    }
-
-    /// Comma-separated canonical names (for error messages and help).
-    #[must_use]
-    pub fn name_list(&self) -> String {
-        self.entries
-            .iter()
-            .map(|e| e.info.name)
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
 }
+
+const THRESHOLD_PARAM: ParamInfo = ParamInfo {
+    key: "threshold",
+    default: "1000",
+    help: "traffic threshold at the top level, Mbps",
+};
+
+const IDLE_PARAM: ParamInfo = ParamInfo {
+    key: "idle",
+    default: "0.10",
+    help: "idle-fraction threshold, (0, 1)",
+};
 
 const WINDOW_PARAM: ParamInfo = ParamInfo {
     key: "window",
@@ -264,26 +158,13 @@ fn take_fraction(params: &mut Params, key: &'static str, default: f64) -> Result
     }
 }
 
-fn take_positive(params: &mut Params, key: &'static str, default: f64) -> Result<f64, SpecError> {
-    let value = params.f64(key, default)?;
-    if value.is_finite() && value > 0.0 {
-        Ok(value)
-    } else {
-        Err(SpecError::InvalidValue {
-            key: key.to_owned(),
-            value: value.to_string(),
-            expected: "a positive number",
-        })
-    }
-}
-
 fn build_nodvs(params: Params) -> Result<PolicySpec, SpecError> {
     params.finish("nodvs")?;
     Ok(PolicySpec::NoDvs)
 }
 
 fn build_tdvs(mut params: Params) -> Result<PolicySpec, SpecError> {
-    let top_threshold_mbps = take_positive(&mut params, "threshold", 1000.0)?;
+    let top_threshold_mbps = params.positive_f64("threshold", 1000.0)?;
     let window_cycles = take_window(&mut params)?;
     let hysteresis = params.maybe_f64("hysteresis")?;
     params.finish("tdvs")?;
@@ -317,7 +198,7 @@ fn build_edvs(mut params: Params) -> Result<PolicySpec, SpecError> {
 }
 
 fn build_combined(mut params: Params) -> Result<PolicySpec, SpecError> {
-    let top_threshold_mbps = take_positive(&mut params, "threshold", 1000.0)?;
+    let top_threshold_mbps = params.positive_f64("threshold", 1000.0)?;
     let idle_threshold = take_fraction(&mut params, "idle", 0.10)?;
     let window_cycles = take_window(&mut params)?;
     params.finish("combined")?;
@@ -388,18 +269,17 @@ mod tests {
 
     #[test]
     fn every_entry_builds_with_defaults() {
-        let registry = PolicyRegistry::builtin();
+        let registry = PolicySpec::registry();
         for info in registry.infos() {
-            let spec = registry
+            registry
                 .build_spec(info.name, Params::default())
                 .unwrap_or_else(|e| panic!("{}: {e}", info.name));
-            assert_eq!(spec.kind(), info.kind, "{}", info.name);
         }
     }
 
     #[test]
     fn aliases_resolve_to_the_same_spec() {
-        let registry = PolicyRegistry::builtin();
+        let registry = PolicySpec::registry();
         for info in registry.infos() {
             let canonical = registry.build_spec(info.name, Params::default()).unwrap();
             for alias in info.aliases {
@@ -411,7 +291,7 @@ mod tests {
 
     #[test]
     fn names_are_case_insensitive() {
-        let registry = PolicyRegistry::builtin();
+        let registry = PolicySpec::registry();
         assert!(registry.build_spec("TDVS", Params::default()).is_ok());
         assert!(registry.info("QDVS").is_some());
     }
@@ -420,7 +300,7 @@ mod tests {
     fn documented_params_are_exactly_the_accepted_ones() {
         // Every documented key must be consumed, and the builders must
         // reject everything else (exercised via build_spec).
-        let registry = PolicyRegistry::builtin();
+        let registry = PolicySpec::registry();
         for info in registry.infos() {
             let mut params = Params::default();
             for p in info.params {
@@ -445,7 +325,7 @@ mod tests {
 
     #[test]
     fn unknown_name_lists_known_policies() {
-        let err = PolicyRegistry::builtin()
+        let err = PolicySpec::registry()
             .build_spec("warp", Params::default())
             .unwrap_err();
         let text = err.to_string();

@@ -7,23 +7,24 @@
 //!
 //! * the **CLI grammar** `name:key=val,key=val` ([`PolicySpec::parse`],
 //!   also `FromStr`), e.g. `tdvs:threshold=1400,window=40000`;
-//! * **TOML** fragments ([`PolicySpec::from_toml_str`]):
+//! * **TOML** fragments (`PolicySpec::registry().parse_toml`):
 //!   ```toml
 //!   policy = "queue"
 //!   high = 0.8
 //!   low = 0.1
 //!   ```
-//! * **JSON** objects ([`PolicySpec::from_json_str`]):
+//! * **JSON** objects (`PolicySpec::registry().parse_json`):
 //!   `{"policy": "proportional", "kp": 6.0}`.
 //!
 //! All three resolve names and parameters through the
-//! [`PolicyRegistry`](crate::PolicyRegistry), so a policy registered in
-//! this crate is immediately reachable from every entry point — config
-//! file, CLI flag, sweep table.
+//! [`PolicySpec::registry`], a [`kvspec::Registry`], so a policy
+//! registered in this crate is immediately reachable from every entry
+//! point — config file, CLI flag, sweep table.
 //!
 //! The grammar machinery itself ([`Params`], [`SpecError`], the
-//! parsers) lives in the shared [`kvspec`] crate; the traffic layer's
-//! `TrafficSpec` speaks exactly the same three grammars through it.
+//! parsers, the registry) lives in the shared [`kvspec`] crate; the
+//! traffic layer's `TrafficSpec` speaks exactly the same three grammars
+//! through it.
 
 use std::fmt;
 use std::str::FromStr;
@@ -31,7 +32,6 @@ use std::str::FromStr;
 pub use kvspec::{Params, SpecError};
 
 use crate::adapters::{CombinedPolicy, EdvsPolicy, NoDvsPolicy, TdvsPolicy};
-use crate::registry::PolicyRegistry;
 use crate::{
     CombinedConfig, DvsPolicy, EdvsConfig, HysteresisTdvsConfig, PolicyKind, Proportional,
     ProportionalConfig, QueueAware, QueueAwareConfig, TdvsConfig, VfLadder,
@@ -120,33 +120,7 @@ impl PolicySpec {
     /// Returns a [`SpecError`] for unknown names/keys, unparsable values
     /// or values outside a policy's valid range.
     pub fn parse(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_cli(input)?;
-        PolicyRegistry::builtin().build_spec(&name, params)
-    }
-
-    /// Parses a flat TOML fragment: a `policy = "name"` entry plus one
-    /// `key = value` line per parameter. Comments (`#`), blank lines and
-    /// a single optional `[table]` header are accepted.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for syntax errors, a missing `policy` key,
-    /// or any parameter problem [`PolicySpec::parse`] would report.
-    pub fn from_toml_str(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_flat_toml(input, "policy")?;
-        PolicyRegistry::builtin().build_spec(&name, params)
-    }
-
-    /// Parses a flat JSON object: `{"policy": "name", "key": value, ...}`
-    /// with string or numeric values.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for syntax errors, a missing `policy` key,
-    /// or any parameter problem [`PolicySpec::parse`] would report.
-    pub fn from_json_str(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_flat_json(input, "policy")?;
-        PolicyRegistry::builtin().build_spec(&name, params)
+        PolicySpec::registry().parse_cli(input)
     }
 
     /// Renders the spec in the CLI grammar; `PolicySpec::parse` of the
@@ -285,7 +259,8 @@ mod tests {
 
     #[test]
     fn unknown_param_via_toml_lists_accepted_keys() {
-        let text = PolicySpec::from_toml_str("policy = \"edvs\"\nflux = 9\n")
+        let text = PolicySpec::registry()
+            .parse_toml("policy = \"edvs\"\nflux = 9\n")
             .unwrap_err()
             .to_string();
         assert!(text.contains("no parameter 'flux'"), "{text}");
@@ -294,7 +269,8 @@ mod tests {
 
     #[test]
     fn unknown_param_via_json_lists_accepted_keys() {
-        let text = PolicySpec::from_json_str(r#"{"policy": "proportional", "flux": 9}"#)
+        let text = PolicySpec::registry()
+            .parse_json(r#"{"policy": "proportional", "flux": 9}"#)
             .unwrap_err()
             .to_string();
         assert!(text.contains("no parameter 'flux'"), "{text}");
@@ -347,16 +323,17 @@ mod tests {
 
     #[test]
     fn toml_fragments_parse() {
-        let spec = PolicySpec::from_toml_str(
-            r#"
+        let spec = PolicySpec::registry()
+            .parse_toml(
+                r#"
             # the sweep's power-priority pick
             [policy]
             policy = "tdvs"
             threshold = 1400.0
             window = 40000
             "#,
-        )
-        .unwrap();
+            )
+            .unwrap();
         assert_eq!(
             spec,
             PolicySpec::Tdvs(TdvsConfig {
@@ -364,23 +341,23 @@ mod tests {
                 window_cycles: 40_000,
             })
         );
-        assert!(PolicySpec::from_toml_str("threshold = 5").is_err());
-        assert!(PolicySpec::from_toml_str("policy 'tdvs'").is_err());
+        assert!(PolicySpec::registry().parse_toml("threshold = 5").is_err());
+        assert!(PolicySpec::registry().parse_toml("policy 'tdvs'").is_err());
     }
 
     #[test]
     fn json_objects_parse() {
-        let spec =
-            PolicySpec::from_json_str(r#"{"policy": "proportional", "kp": 6.0, "ki": 0.25}"#)
-                .unwrap();
+        let spec = PolicySpec::registry()
+            .parse_json(r#"{"policy": "proportional", "kp": 6.0, "ki": 0.25}"#)
+            .unwrap();
         let PolicySpec::Proportional(c) = spec else {
             panic!("wrong variant");
         };
         assert_eq!(c.kp, 6.0);
         assert_eq!(c.ki, 0.25);
         assert_eq!(c.target_idle, 0.10);
-        assert!(PolicySpec::from_json_str("[1, 2]").is_err());
-        assert!(PolicySpec::from_json_str(r#"{"kp": 6.0}"#).is_err());
+        assert!(PolicySpec::registry().parse_json("[1, 2]").is_err());
+        assert!(PolicySpec::registry().parse_json(r#"{"kp": 6.0}"#).is_err());
     }
 
     #[test]

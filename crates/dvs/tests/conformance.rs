@@ -7,8 +7,8 @@
 //! suite is the contract a new policy must satisfy to ship.
 
 use dvs::{
-    MeObservation, Params, PolicyObservation, PolicyRegistry, PolicySpec, QueueObservation,
-    ScalingDecision, VfLadder,
+    MeObservation, Params, PolicyObservation, PolicySpec, QueueObservation, ScalingDecision,
+    VfLadder,
 };
 use rand::{Rng, SeedableRng};
 
@@ -88,7 +88,7 @@ impl ObservationStream {
 }
 
 fn registered_specs() -> Vec<PolicySpec> {
-    let registry = PolicyRegistry::builtin();
+    let registry = PolicySpec::registry();
     registry
         .infos()
         .map(|info| {

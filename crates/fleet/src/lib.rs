@@ -26,8 +26,8 @@
 //! Dispatchers and fleet policies are described by [`DispatchSpec`] and
 //! [`FleetPolicySpec`], reachable through the same `kvspec` grammars as
 //! policies and traffic models (CLI `name:key=val,...`, flat TOML, flat
-//! JSON) and discoverable via [`DispatchRegistry`] /
-//! [`FleetPolicyRegistry`].
+//! JSON) and discoverable via [`DispatchSpec::registry`] /
+//! [`FleetPolicySpec::registry`], each a `kvspec::Registry`.
 //!
 //! # Example
 //!
@@ -55,16 +55,14 @@ mod runner;
 
 pub use capped::CappedPolicy;
 pub use config::FleetConfig;
-pub use dispatch::{
-    DispatchInfo, DispatchRegistry, DispatchSpec, Dispatcher, HashDispatch, LeastLoaded, RoundRobin,
-};
+pub use dispatch::{DispatchSpec, Dispatcher, HashDispatch, LeastLoaded, RoundRobin};
 // Re-export the shared grammar machinery so custom tooling needs only
 // this crate.
 pub use kvspec::{ParamInfo, Params, SpecError};
 pub use metrics::{ChipDist, FleetDist, FleetSample};
 pub use policy::{
-    cap_level, CapPlan, CapRealloc, FleetPolicy, FleetPolicyInfo, FleetPolicyRegistry,
-    FleetPolicySpec, FleetTelemetry, PassThrough, StaticCap,
+    cap_level, CapPlan, CapRealloc, FleetPolicy, FleetPolicySpec, FleetTelemetry, PassThrough,
+    StaticCap,
 };
 pub use runner::{chip_seed, replicate_seeds, run_fleet, FleetOutcome, FleetReport};
 

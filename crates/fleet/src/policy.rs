@@ -26,7 +26,7 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::OnceLock;
 
-use kvspec::{ParamInfo, Params, SpecError};
+use kvspec::{Entry, ParamInfo, Params, Registry, SpecError};
 use nepsim::NpuConfig;
 
 /// Offered-load telemetry a fleet policy plans from: bits arriving at
@@ -207,7 +207,7 @@ pub fn cap_level(cap_w: f64, config: &NpuConfig) -> usize {
 /// grammar (`cap-realloc:budget=8,period=200000`), flat TOML
 /// (`fleet_policy = "static-cap"`) and flat JSON
 /// (`{"fleet_policy": "cap-realloc", "budget": 6}`), resolved through
-/// the [`FleetPolicyRegistry`].
+/// [`FleetPolicySpec::registry`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FleetPolicySpec {
     /// No fleet-level power management.
@@ -264,33 +264,7 @@ impl FleetPolicySpec {
     /// Returns a [`SpecError`] for unknown names/keys, unparsable
     /// values or values outside a policy's valid range.
     pub fn parse(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_cli(input)?;
-        FleetPolicyRegistry::builtin().build_spec(&name, params)
-    }
-
-    /// Parses a flat TOML fragment: `fleet_policy = "name"` plus one
-    /// `key = value` line per parameter.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for syntax errors, a missing
-    /// `fleet_policy` key, or any parameter problem
-    /// [`FleetPolicySpec::parse`] would report.
-    pub fn from_toml_str(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_flat_toml(input, "fleet_policy")?;
-        FleetPolicyRegistry::builtin().build_spec(&name, params)
-    }
-
-    /// Parses a flat JSON object: `{"fleet_policy": "name", ...}`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for syntax errors, a missing
-    /// `fleet_policy` key, or any parameter problem
-    /// [`FleetPolicySpec::parse`] would report.
-    pub fn from_json_str(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_flat_json(input, "fleet_policy")?;
-        FleetPolicyRegistry::builtin().build_spec(&name, params)
+        FleetPolicySpec::registry().parse_cli(input)
     }
 
     /// Renders the spec in the CLI grammar; [`FleetPolicySpec::parse`]
@@ -322,71 +296,36 @@ impl FromStr for FleetPolicySpec {
     }
 }
 
-/// Metadata for one registered fleet policy.
-#[derive(Debug, Clone, Copy)]
-pub struct FleetPolicyInfo {
-    /// Canonical name used in specs and help output.
-    pub name: &'static str,
-    /// Accepted alternative names.
-    pub aliases: &'static [&'static str],
-    /// One-line description.
-    pub summary: &'static str,
-    /// Accepted parameters.
-    pub params: &'static [ParamInfo],
-}
-
-type BuildFn = fn(Params) -> Result<FleetPolicySpec, SpecError>;
-
-struct Entry {
-    info: FleetPolicyInfo,
-    build: BuildFn,
-}
-
-/// Name-indexed collection of fleet-policy builders.
-pub struct FleetPolicyRegistry {
-    entries: Vec<Entry>,
-}
-
-impl fmt::Debug for FleetPolicyRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FleetPolicyRegistry")
-            .field("names", &self.name_list())
-            .finish()
-    }
-}
-
 const BUDGET_PARAM: ParamInfo = ParamInfo {
     key: "budget",
     default: "8",
     help: "fleet-wide power budget, watts",
 };
 
-impl FleetPolicyRegistry {
+impl FleetPolicySpec {
     /// The registry of built-in fleet policies.
-    pub fn builtin() -> &'static FleetPolicyRegistry {
-        static REGISTRY: OnceLock<FleetPolicyRegistry> = OnceLock::new();
-        REGISTRY.get_or_init(|| FleetPolicyRegistry {
-            entries: vec![
-                Entry {
-                    info: FleetPolicyInfo {
+    pub fn registry() -> &'static Registry<FleetPolicySpec> {
+        static REGISTRY: OnceLock<Registry<FleetPolicySpec>> = OnceLock::new();
+        REGISTRY.get_or_init(|| {
+            Registry::new(
+                "fleet policy",
+                "fleet_policy",
+                vec![
+                    Entry {
                         name: "none",
                         aliases: &["pass-through", "passthrough"],
                         summary: "no fleet-level power management",
                         params: &[],
+                        build: build_pass_through,
                     },
-                    build: build_pass_through,
-                },
-                Entry {
-                    info: FleetPolicyInfo {
+                    Entry {
                         name: "static-cap",
                         aliases: &["static"],
                         summary: "constant budget/N watts per chip",
                         params: &[BUDGET_PARAM],
+                        build: build_static_cap,
                     },
-                    build: build_static_cap,
-                },
-                Entry {
-                    info: FleetPolicyInfo {
+                    Entry {
                         name: "cap-realloc",
                         aliases: &["realloc", "cap-and-reallocate"],
                         summary: "periodic load-proportional budget reallocation",
@@ -403,56 +342,11 @@ impl FleetPolicyRegistry {
                                 help: "minimum per-chip cap, watts",
                             },
                         ],
+                        build: build_cap_realloc,
                     },
-                    build: build_cap_realloc,
-                },
-            ],
+                ],
+            )
         })
-    }
-
-    /// Builds a validated spec for `name` from raw parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for unknown names, unknown keys or
-    /// invalid values.
-    pub fn build_spec(&self, name: &str, params: Params) -> Result<FleetPolicySpec, SpecError> {
-        let wanted = name.to_ascii_lowercase();
-        let entry = self
-            .entries
-            .iter()
-            .find(|e| e.info.name == wanted || e.info.aliases.contains(&wanted.as_str()))
-            .ok_or_else(|| SpecError::UnknownName {
-                kind: "fleet policy",
-                name: wanted,
-                known: self.name_list(),
-            })?;
-        (entry.build)(params).map_err(|e| e.with_accepted_keys(entry.info.params))
-    }
-
-    /// Metadata for every registered fleet policy, registration order.
-    pub fn infos(&self) -> impl Iterator<Item = &FleetPolicyInfo> {
-        self.entries.iter().map(|e| &e.info)
-    }
-
-    /// Metadata for one fleet policy, by name or alias.
-    #[must_use]
-    pub fn info(&self, name: &str) -> Option<&FleetPolicyInfo> {
-        let wanted = name.to_ascii_lowercase();
-        self.entries
-            .iter()
-            .map(|e| &e.info)
-            .find(|i| i.name == wanted || i.aliases.contains(&wanted.as_str()))
-    }
-
-    /// Comma-separated canonical names (for error messages and help).
-    #[must_use]
-    pub fn name_list(&self) -> String {
-        self.entries
-            .iter()
-            .map(|e| e.info.name)
-            .collect::<Vec<_>>()
-            .join(", ")
     }
 }
 

@@ -2,16 +2,14 @@
 //! every built-in resolves through all three wire grammars (CLI, flat
 //! TOML, flat JSON), names are case-insensitive, unknown names list
 //! the registered alternatives and unknown parameters list the
-//! accepted keys — the same contract `PolicyRegistry` and
-//! `TrafficRegistry` honour.
+//! accepted keys — the same `kvspec::Registry` contract policies,
+//! traffic models and distributions honour.
 
-use fleet::{
-    DispatchRegistry, DispatchSpec, FleetPolicyRegistry, FleetPolicySpec, Params, SpecError,
-};
+use fleet::{DispatchSpec, FleetPolicySpec, Params, SpecError};
 
 #[test]
 fn every_dispatcher_builds_with_defaults() {
-    let registry = DispatchRegistry::builtin();
+    let registry = DispatchSpec::registry();
     for info in registry.infos() {
         let spec = registry
             .build_spec(info.name, Params::default())
@@ -26,7 +24,7 @@ fn every_dispatcher_builds_with_defaults() {
 
 #[test]
 fn every_fleet_policy_builds_with_defaults() {
-    let registry = FleetPolicyRegistry::builtin();
+    let registry = FleetPolicySpec::registry();
     for info in registry.infos() {
         let spec = registry
             .build_spec(info.name, Params::default())
@@ -179,6 +177,43 @@ fn unknown_params_list_the_accepted_keys() {
     ));
 }
 
+/// Every documented key is accepted at its documented default, and a
+/// bogus key fails with `UnknownParam`.
+fn documented_params_are_exactly_the_accepted_ones<S: std::fmt::Debug>(
+    registry: &kvspec::Registry<S>,
+) {
+    for info in registry.infos() {
+        let mut params = Params::default();
+        for p in info.params {
+            params.insert(p.key, p.default);
+        }
+        registry
+            .build_spec(info.name, params)
+            .unwrap_or_else(|e| panic!("{} rejects its own defaults: {e}", info.name));
+
+        let mut bogus = Params::default();
+        bogus.insert("definitely-not-a-param", "1");
+        assert!(
+            matches!(
+                registry.build_spec(info.name, bogus),
+                Err(SpecError::UnknownParam { .. })
+            ),
+            "{} accepted a bogus key",
+            info.name
+        );
+    }
+}
+
+#[test]
+fn dispatcher_params_are_exactly_the_documented_ones() {
+    documented_params_are_exactly_the_accepted_ones(DispatchSpec::registry());
+}
+
+#[test]
+fn fleet_policy_params_are_exactly_the_documented_ones() {
+    documented_params_are_exactly_the_accepted_ones(FleetPolicySpec::registry());
+}
+
 #[test]
 fn invalid_values_are_rejected() {
     assert!(matches!(
@@ -202,20 +237,22 @@ fn invalid_values_are_rejected() {
 #[test]
 fn all_three_grammars_resolve_the_same_spec() {
     let from_cli = DispatchSpec::parse("hash:flows=64").unwrap();
-    let from_toml = DispatchSpec::from_toml_str("dispatch = \"hash\"\nflows = 64\n").unwrap();
-    let from_json = DispatchSpec::from_json_str("{\"dispatch\": \"hash\", \"flows\": 64}").unwrap();
+    let from_toml = DispatchSpec::registry()
+        .parse_toml("dispatch = \"hash\"\nflows = 64\n")
+        .unwrap();
+    let from_json = DispatchSpec::registry()
+        .parse_json("{\"dispatch\": \"hash\", \"flows\": 64}")
+        .unwrap();
     assert_eq!(from_cli, from_toml);
     assert_eq!(from_cli, from_json);
 
     let from_cli = FleetPolicySpec::parse("cap-realloc:budget=6,period=100000").unwrap();
-    let from_toml = FleetPolicySpec::from_toml_str(
-        "fleet_policy = \"cap-realloc\"\nbudget = 6\nperiod = 100000\n",
-    )
-    .unwrap();
-    let from_json = FleetPolicySpec::from_json_str(
-        "{\"fleet_policy\": \"cap-realloc\", \"budget\": 6, \"period\": 100000}",
-    )
-    .unwrap();
+    let from_toml = FleetPolicySpec::registry()
+        .parse_toml("fleet_policy = \"cap-realloc\"\nbudget = 6\nperiod = 100000\n")
+        .unwrap();
+    let from_json = FleetPolicySpec::registry()
+        .parse_json("{\"fleet_policy\": \"cap-realloc\", \"budget\": 6, \"period\": 100000}")
+        .unwrap();
     assert_eq!(from_cli, from_toml);
     assert_eq!(from_cli, from_json);
 }

@@ -1,9 +1,10 @@
 //! **kvspec** — the shared machinery behind the workspace's declarative
 //! component specs.
 //!
-//! Both open component families — DVS policies (`dvs::PolicySpec`) and
-//! traffic models (`traffic::TrafficSpec`) — are configured through the
-//! same three flat grammars:
+//! Every open component family — DVS policies (`dvs::PolicySpec`),
+//! traffic models (`traffic::TrafficSpec`), distributions, dispatchers
+//! and fleet policies — is configured through the same three flat
+//! grammars:
 //!
 //! * the **CLI grammar** `name:key=val,key=val` ([`parse_cli`]), e.g.
 //!   `tdvs:threshold=1400,window=40000` or
@@ -20,10 +21,11 @@
 //!
 //! This crate owns the grammar parsing/rendering, the typed parameter
 //! bag ([`Params`]) with consumption tracking (typo protection), the
-//! shared error type ([`SpecError`]) and the self-description metadata
-//! ([`ParamInfo`]) registries render as help output. The domain crates
-//! own their registries and the mapping from `(name, params)` to a
-//! concrete spec.
+//! shared error type ([`SpecError`]), the self-description metadata
+//! ([`ParamInfo`]) help output renders, and the one name-indexed
+//! [`Registry`] every spec family resolves its names through. The
+//! domain crates own their registry's entries: the mapping from
+//! `(name, params)` to a concrete spec.
 //!
 //! The grammars are deliberately *flat*: one name, scalar parameters,
 //! no nesting. That is what makes a spec equally at home on a command
@@ -48,8 +50,10 @@
 use std::fmt;
 
 pub mod json;
+mod registry;
 
 use json::{escape, Obj, Value};
+pub use registry::{Entry, Registry};
 
 /// Metadata for one accepted parameter key, rendered by `abdex
 /// policies` / `abdex traffics`.
@@ -159,6 +163,26 @@ impl Params {
     /// Returns [`SpecError::InvalidValue`] when present but unparsable.
     pub fn f64(&mut self, key: &str, default: f64) -> Result<f64, SpecError> {
         Ok(self.maybe_f64(key)?.unwrap_or(default))
+    }
+
+    /// Takes a finite, strictly positive float parameter, falling back
+    /// to `default` when absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpecError::InvalidValue`] when unparsable, zero,
+    /// negative or not finite.
+    pub fn positive_f64(&mut self, key: &str, default: f64) -> Result<f64, SpecError> {
+        let value = self.f64(key, default)?;
+        if value.is_finite() && value > 0.0 {
+            Ok(value)
+        } else {
+            Err(SpecError::InvalidValue {
+                key: key.to_owned(),
+                value: value.to_string(),
+                expected: "a positive number",
+            })
+        }
     }
 
     /// Takes an integer parameter, falling back to `default` when absent.

@@ -4,14 +4,14 @@
 //! policy's `window_cycles` metadata declares.
 
 use desim::Frequency;
-use dvs::{Params, PolicyRegistry, PolicySpec, SWITCH_PENALTY};
+use dvs::{Params, PolicySpec, SWITCH_PENALTY};
 use nepsim::{Benchmark, MeMode, NpuConfig, Simulator};
 use traffic::TrafficLevel;
 
 const CYCLES: u64 = 1_500_000;
 
 fn registered_specs() -> Vec<PolicySpec> {
-    let registry = PolicyRegistry::builtin();
+    let registry = PolicySpec::registry();
     registry
         .infos()
         .map(|info| {

@@ -9,9 +9,10 @@
 //! * [`TrafficModel`] — a deterministic, self-describing packet source:
 //!   `stream(seed)` instantiates a reproducible iterator,
 //!   `mean_rate_mbps` / `expected_rate_mbps` describe the offered load;
-//! * [`TrafficSpec`] + [`TrafficRegistry`] — the declarative layer: every
-//!   model is reachable by name through the CLI (`name:key=val,...`),
-//!   flat-TOML and flat-JSON grammars, with exact round-tripping.
+//! * [`TrafficSpec`] + [`TrafficSpec::registry`] (a `kvspec::Registry`)
+//!   — the declarative layer: every model is reachable by name through
+//!   the CLI (`name:key=val,...`), flat-TOML and flat-JSON grammars,
+//!   with exact round-tripping.
 //!
 //! Built-in models:
 //!
@@ -87,7 +88,6 @@ pub use kvspec::{ParamInfo, Params, SpecError};
 pub use model::{PacketSource, TrafficModel};
 pub use onoff::OnOffConfig;
 pub use packet::{Packet, SizeMix};
-pub use registry::{TrafficInfo, TrafficRegistry};
 pub use replay::{RecordedTrace, ReplayConfig};
 pub use schedule::{ScheduleConfig, ScheduleModel, ScheduleSegment};
 pub use spec::TrafficSpec;

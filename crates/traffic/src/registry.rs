@@ -1,7 +1,7 @@
 //! The traffic registry: every built-in traffic model, discoverable by
-//! name — the traffic-side twin of `dvs::PolicyRegistry`.
+//! name through a [`kvspec::Registry`], like every other spec family.
 //!
-//! One entry gives a model:
+//! One [`Entry`] gives a model:
 //!
 //! * a **name** (plus aliases) reachable from the CLI grammar, TOML and
 //!   JSON (see [`TrafficSpec`]),
@@ -10,13 +10,12 @@
 //!
 //! Adding a traffic model touches only this crate: implement
 //! [`TrafficModel`](crate::TrafficModel), add a [`TrafficSpec`] variant,
-//! and register the entry in [`TrafficRegistry::builtin`]. The
+//! and register the entry in [`TrafficSpec::registry`]. The
 //! conformance suite in `crates/traffic/tests/` picks it up by name.
 
 use std::sync::OnceLock;
 
-pub use kvspec::ParamInfo;
-use kvspec::{Params, SpecError};
+use kvspec::{Entry, ParamInfo, Params, Registry, SpecError};
 
 use dist::DistSpec;
 
@@ -25,60 +24,29 @@ use crate::{
     StochasticConfig, TrafficLevel, TrafficSpec,
 };
 
-/// Metadata for one registered traffic model.
-#[derive(Debug, Clone, Copy)]
-pub struct TrafficInfo {
-    /// Canonical name used in specs and help output.
-    pub name: &'static str,
-    /// Accepted alternative names.
-    pub aliases: &'static [&'static str],
-    /// One-line description.
-    pub summary: &'static str,
-    /// Accepted parameters.
-    pub params: &'static [ParamInfo],
-}
-
-type BuildFn = fn(Params) -> Result<TrafficSpec, SpecError>;
-
-struct Entry {
-    info: TrafficInfo,
-    build: BuildFn,
-}
-
-/// Name-indexed collection of traffic-model builders.
-pub struct TrafficRegistry {
-    entries: Vec<Entry>,
-}
-
-impl std::fmt::Debug for TrafficRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TrafficRegistry")
-            .field("names", &self.name_list())
-            .finish()
-    }
-}
-
 const PORTS_PARAM: ParamInfo = ParamInfo {
     key: "ports",
     default: "16",
     help: "device ports packets are spread over",
 };
 
-impl TrafficRegistry {
+impl TrafficSpec {
     /// The registry of built-in traffic models.
-    pub fn builtin() -> &'static TrafficRegistry {
-        static REGISTRY: OnceLock<TrafficRegistry> = OnceLock::new();
-        REGISTRY.get_or_init(|| TrafficRegistry {
-            entries: vec![
-                level_entry("low", TrafficLevel::Low, "night-time lull (450 Mbps MMPP)"),
-                level_entry(
-                    "medium",
-                    TrafficLevel::Medium,
-                    "shoulder period (850 Mbps MMPP)",
-                ),
-                level_entry("high", TrafficLevel::High, "mid-day peak (1150 Mbps MMPP)"),
-                Entry {
-                    info: TrafficInfo {
+    pub fn registry() -> &'static Registry<TrafficSpec> {
+        static REGISTRY: OnceLock<Registry<TrafficSpec>> = OnceLock::new();
+        REGISTRY.get_or_init(|| {
+            Registry::new(
+                "traffic model",
+                "traffic",
+                vec![
+                    level_entry("low", TrafficLevel::Low, "night-time lull (450 Mbps MMPP)"),
+                    level_entry(
+                        "medium",
+                        TrafficLevel::Medium,
+                        "shoulder period (850 Mbps MMPP)",
+                    ),
+                    level_entry("high", TrafficLevel::High, "mid-day peak (1150 Mbps MMPP)"),
+                    Entry {
                         name: "mmpp",
                         aliases: &["poisson", "bursty"],
                         summary: "Markov-modulated Poisson arrivals (burstiness=1: plain Poisson)",
@@ -100,11 +68,9 @@ impl TrafficRegistry {
                             },
                             PORTS_PARAM,
                         ],
+                        build: build_mmpp,
                     },
-                    build: build_mmpp,
-                },
-                Entry {
-                    info: TrafficInfo {
+                    Entry {
                         name: "diurnal",
                         aliases: &["day"],
                         summary: "sample the Fig. 2 day profile, drive MMPP at the median",
@@ -130,11 +96,9 @@ impl TrafficRegistry {
                                 help: "profile-jitter seed (fixed per spec)",
                             },
                         ],
+                        build: build_diurnal,
                     },
-                    build: build_diurnal,
-                },
-                Entry {
-                    info: TrafficInfo {
+                    Entry {
                         name: "burst",
                         aliases: &["onoff", "on-off"],
                         summary: "deterministic on/off bursts, Poisson arrivals inside phases",
@@ -161,11 +125,9 @@ impl TrafficRegistry {
                             },
                             PORTS_PARAM,
                         ],
+                        build: build_burst,
                     },
-                    build: build_burst,
-                },
-                Entry {
-                    info: TrafficInfo {
+                    Entry {
                         name: "flash",
                         aliases: &["spike", "flashcrowd"],
                         summary: "baseline plus one trapezoidal flash-crowd spike",
@@ -197,11 +159,9 @@ impl TrafficRegistry {
                             },
                             PORTS_PARAM,
                         ],
+                        build: build_flash,
                     },
-                    build: build_flash,
-                },
-                Entry {
-                    info: TrafficInfo {
+                    Entry {
                         name: "constant",
                         aliases: &["cbr", "fixed"],
                         summary: "constant bit rate: equally spaced fixed-size packets (no RNG)",
@@ -218,14 +178,13 @@ impl TrafficRegistry {
                             },
                             PORTS_PARAM,
                         ],
+                        build: build_constant,
                     },
-                    build: build_constant,
-                },
-                Entry {
-                    info: TrafficInfo {
+                    Entry {
                         name: "trace",
                         aliases: &["replay"],
-                        summary: "replay a recorded trace file (see `abdex trace --out`)",
+                        summary:
+                            "replay a recorded trace file (see `abdex trace generate -o FILE`)",
                         params: &[
                             ParamInfo {
                                 key: "path",
@@ -244,11 +203,9 @@ impl TrafficRegistry {
                                        thinning (<1) or duplication (>1)",
                             },
                         ],
+                        build: build_trace,
                     },
-                    build: build_trace,
-                },
-                Entry {
-                    info: TrafficInfo {
+                    Entry {
                         name: "stochastic",
                         aliases: &["renewal", "dist"],
                         summary: "renewal arrivals: dist-driven gaps (us) and sizes (bytes)",
@@ -267,11 +224,9 @@ impl TrafficRegistry {
                             },
                             PORTS_PARAM,
                         ],
+                        build: build_stochastic,
                     },
-                    build: build_stochastic,
-                },
-                Entry {
-                    info: TrafficInfo {
+                    Entry {
                         name: "schedule",
                         aliases: &["piecewise", "composite"],
                         summary: "piecewise composition of other models over cycle windows",
@@ -282,75 +237,24 @@ impl TrafficRegistry {
                                    cycles, contiguous from 0; the last end may stay open \
                                    (start..)",
                         }],
+                        build: build_schedule,
                     },
-                    build: build_schedule,
-                },
-            ],
+                ],
+            )
         })
-    }
-
-    /// Builds a validated spec for `name` (case-insensitive) from raw
-    /// parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for unknown names, unknown keys or
-    /// invalid values.
-    pub fn build_spec(&self, name: &str, params: Params) -> Result<TrafficSpec, SpecError> {
-        let wanted = name.to_ascii_lowercase();
-        let entry = self
-            .entries
-            .iter()
-            .find(|e| e.info.name == wanted || e.info.aliases.contains(&wanted.as_str()))
-            .ok_or_else(|| SpecError::UnknownName {
-                kind: "traffic model",
-                name: wanted,
-                known: self.name_list(),
-            })?;
-        // Fill the accepted-key list only for errors this entry itself
-        // raised: a `schedule` builder recurses into child entries, and
-        // a child's already-attributed error (its `owner` is the child)
-        // must keep the child's accepted keys, not gain schedule's.
-        (entry.build)(params).map_err(|e| match &e {
-            SpecError::UnknownParam { owner, .. } if owner != entry.info.name => e,
-            _ => e.with_accepted_keys(entry.info.params),
-        })
-    }
-
-    /// Metadata for every registered model, registration order.
-    pub fn infos(&self) -> impl Iterator<Item = &TrafficInfo> {
-        self.entries.iter().map(|e| &e.info)
-    }
-
-    /// Metadata for one model, by name or alias (case-insensitive).
-    #[must_use]
-    pub fn info(&self, name: &str) -> Option<&TrafficInfo> {
-        let wanted = name.to_ascii_lowercase();
-        self.entries
-            .iter()
-            .map(|e| &e.info)
-            .find(|i| i.name == wanted || i.aliases.contains(&wanted.as_str()))
-    }
-
-    /// Comma-separated canonical names (for error messages and help).
-    #[must_use]
-    pub fn name_list(&self) -> String {
-        self.entries
-            .iter()
-            .map(|e| e.info.name)
-            .collect::<Vec<_>>()
-            .join(", ")
     }
 }
 
-fn level_entry(name: &'static str, level: TrafficLevel, summary: &'static str) -> Entry {
+fn level_entry(
+    name: &'static str,
+    level: TrafficLevel,
+    summary: &'static str,
+) -> Entry<TrafficSpec> {
     Entry {
-        info: TrafficInfo {
-            name,
-            aliases: &[],
-            summary,
-            params: &[],
-        },
+        name,
+        aliases: &[],
+        summary,
+        params: &[],
         build: match level {
             TrafficLevel::Low => |params| {
                 params.finish("low")?;
@@ -365,19 +269,6 @@ fn level_entry(name: &'static str, level: TrafficLevel, summary: &'static str) -
                 Ok(TrafficSpec::Level(TrafficLevel::High))
             },
         },
-    }
-}
-
-fn take_positive(params: &mut Params, key: &'static str, default: f64) -> Result<f64, SpecError> {
-    let value = params.f64(key, default)?;
-    if value.is_finite() && value > 0.0 {
-        Ok(value)
-    } else {
-        Err(SpecError::InvalidValue {
-            key: key.to_owned(),
-            value: value.to_string(),
-            expected: "a positive number",
-        })
     }
 }
 
@@ -412,9 +303,9 @@ fn take_ports(params: &mut Params) -> Result<u8, SpecError> {
 }
 
 fn build_mmpp(mut params: Params) -> Result<TrafficSpec, SpecError> {
-    let mean_rate_mbps = take_positive(&mut params, "rate", 850.0)?;
+    let mean_rate_mbps = params.positive_f64("rate", 850.0)?;
     let burstiness = params.f64("burstiness", 1.6)?;
-    let dwell_mean_us = take_positive(&mut params, "dwell_us", 200.0)?;
+    let dwell_mean_us = params.positive_f64("dwell_us", 200.0)?;
     let ports = take_ports(&mut params)?;
     params.finish("mmpp")?;
     if !burstiness.is_finite() || burstiness < 1.0 {
@@ -435,8 +326,8 @@ fn build_mmpp(mut params: Params) -> Result<TrafficSpec, SpecError> {
 
 fn build_diurnal(mut params: Params) -> Result<TrafficSpec, SpecError> {
     let hour = params.f64("hour", 16.0)?;
-    let aggregate_scale = take_positive(&mut params, "scale", 5.0)?;
-    let peak_bps = take_positive(&mut params, "peak_bps", 2.5e8)?;
+    let aggregate_scale = params.positive_f64("scale", 5.0)?;
+    let peak_bps = params.positive_f64("peak_bps", 2.5e8)?;
     let profile_seed = params.u64("profile_seed", 0)?;
     params.finish("diurnal")?;
     if !hour.is_finite() || !(0.0..24.0).contains(&hour) {
@@ -455,9 +346,9 @@ fn build_diurnal(mut params: Params) -> Result<TrafficSpec, SpecError> {
 }
 
 fn build_burst(mut params: Params) -> Result<TrafficSpec, SpecError> {
-    let on_mbps = take_positive(&mut params, "on_mbps", 1600.0)?;
+    let on_mbps = params.positive_f64("on_mbps", 1600.0)?;
     let off_mbps = take_non_negative(&mut params, "off_mbps", 200.0)?;
-    let period_s = take_positive(&mut params, "period_s", 0.002)?;
+    let period_s = params.positive_f64("period_s", 0.002)?;
     let duty = params.f64("duty", 0.5)?;
     let ports = take_ports(&mut params)?;
     params.finish("burst")?;
@@ -479,8 +370,8 @@ fn build_burst(mut params: Params) -> Result<TrafficSpec, SpecError> {
 }
 
 fn build_flash(mut params: Params) -> Result<TrafficSpec, SpecError> {
-    let base_mbps = take_positive(&mut params, "base_mbps", 400.0)?;
-    let peak_mbps = take_positive(&mut params, "peak_mbps", 1800.0)?;
+    let base_mbps = params.positive_f64("base_mbps", 400.0)?;
+    let peak_mbps = params.positive_f64("peak_mbps", 1800.0)?;
     let at_ms = take_non_negative(&mut params, "at_ms", 4.0)?;
     let ramp_ms = take_non_negative(&mut params, "ramp_ms", 1.0)?;
     let hold_ms = take_non_negative(&mut params, "hold_ms", 3.0)?;
@@ -498,7 +389,7 @@ fn build_flash(mut params: Params) -> Result<TrafficSpec, SpecError> {
 }
 
 fn build_constant(mut params: Params) -> Result<TrafficSpec, SpecError> {
-    let rate_mbps = take_positive(&mut params, "rate", 600.0)?;
+    let rate_mbps = params.positive_f64("rate", 600.0)?;
     let size = params.u64("size", 576)?;
     let ports = take_ports(&mut params)?;
     params.finish("constant")?;
@@ -522,7 +413,7 @@ fn build_trace(mut params: Params) -> Result<TrafficSpec, SpecError> {
     let path = params.maybe_str("path");
     let file = params.maybe_str("file");
     let path = path.or(file);
-    let scale = take_positive(&mut params, "scale", 1.0)?;
+    let scale = params.positive_f64("scale", 1.0)?;
     params.finish("trace")?;
     let path = path.ok_or_else(|| SpecError::InvalidValue {
         key: "path".to_owned(),
@@ -662,7 +553,7 @@ mod tests {
 
     #[test]
     fn every_entry_builds_with_defaults() {
-        let registry = TrafficRegistry::builtin();
+        let registry = TrafficSpec::registry();
         for info in registry.infos() {
             let mut params = Params::default();
             fill_required(info.name, &mut params);
@@ -675,7 +566,7 @@ mod tests {
 
     #[test]
     fn aliases_resolve_to_the_same_spec() {
-        let registry = TrafficRegistry::builtin();
+        let registry = TrafficSpec::registry();
         for info in registry.infos() {
             let mut canonical_params = Params::default();
             fill_required(info.name, &mut canonical_params);
@@ -691,7 +582,7 @@ mod tests {
 
     #[test]
     fn names_are_case_insensitive() {
-        let registry = TrafficRegistry::builtin();
+        let registry = TrafficSpec::registry();
         assert!(registry.build_spec("BURST", Params::default()).is_ok());
         assert!(registry.build_spec("Medium", Params::default()).is_ok());
         assert!(registry.info("CBR").is_some());
@@ -699,7 +590,7 @@ mod tests {
 
     #[test]
     fn documented_params_are_exactly_the_accepted_ones() {
-        let registry = TrafficRegistry::builtin();
+        let registry = TrafficSpec::registry();
         for info in registry.infos() {
             let mut params = Params::default();
             for p in info.params {
@@ -729,7 +620,7 @@ mod tests {
 
     #[test]
     fn trace_requires_a_path() {
-        let err = TrafficRegistry::builtin()
+        let err = TrafficSpec::registry()
             .build_spec("trace", Params::default())
             .unwrap_err();
         assert!(matches!(err, SpecError::InvalidValue { ref key, .. } if key == "path"));
@@ -737,14 +628,14 @@ mod tests {
 
     #[test]
     fn schedule_requires_a_segment_list() {
-        let err = TrafficRegistry::builtin()
+        let err = TrafficSpec::registry()
             .build_spec("schedule", Params::default())
             .unwrap_err();
         assert!(matches!(err, SpecError::InvalidValue { ref key, .. } if key == "segments"));
         // A child error propagates with its own context.
         let mut params = Params::default();
         params.insert("segments", "[burst:flux=9@0..]");
-        let err = TrafficRegistry::builtin()
+        let err = TrafficSpec::registry()
             .build_spec("schedule", params)
             .unwrap_err();
         assert!(
@@ -755,7 +646,7 @@ mod tests {
 
     #[test]
     fn unknown_name_lists_known_models() {
-        let err = TrafficRegistry::builtin()
+        let err = TrafficSpec::registry()
             .build_spec("tsunami", Params::default())
             .unwrap_err();
         let text = err.to_string();

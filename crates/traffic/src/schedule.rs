@@ -25,7 +25,6 @@ use desim::rng::derive_seed;
 use desim::{Frequency, SimTime};
 use kvspec::{PVal, SpecError};
 
-use crate::registry::TrafficRegistry;
 use crate::{Packet, PacketSource, TrafficModel, TrafficSpec};
 
 /// The base (normal) core clock schedules are expressed in: 600 MHz,
@@ -83,8 +82,7 @@ impl ScheduleSegment {
         } else {
             Some(parse_cycles(end_text)?)
         };
-        let (name, params) = kvspec::parse_cli(spec_text.trim())?;
-        let spec = TrafficRegistry::builtin().build_spec(&name, params)?;
+        let spec = TrafficSpec::parse(spec_text)?;
         Ok(ScheduleSegment {
             spec,
             start_cycles,

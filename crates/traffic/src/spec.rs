@@ -10,17 +10,17 @@
 //!   also `FromStr`), e.g. `burst:on_mbps=1800,off_mbps=120,period_s=2`
 //!   — with `low`, `medium` and `high` as bare-name shorthands for the
 //!   paper's three sampling periods;
-//! * **TOML** fragments ([`TrafficSpec::from_toml_str`]):
+//! * **TOML** fragments (`TrafficSpec::registry().parse_toml`):
 //!   ```toml
 //!   traffic = "flash"
 //!   base_mbps = 400
 //!   peak_mbps = 1800
 //!   ```
-//! * **JSON** objects ([`TrafficSpec::from_json_str`]):
+//! * **JSON** objects (`TrafficSpec::registry().parse_json`):
 //!   `{"traffic": "mmpp", "rate": 850}`.
 //!
 //! All three resolve names and parameters through the
-//! [`TrafficRegistry`](crate::TrafficRegistry), and every spec renders
+//! [`TrafficSpec::registry`], a [`kvspec::Registry`], and every spec renders
 //! back into all three grammars ([`TrafficSpec::spec_string`],
 //! [`TrafficSpec::to_toml_string`], [`TrafficSpec::to_json_string`])
 //! with exact round-tripping.
@@ -30,7 +30,6 @@ use std::str::FromStr;
 
 use kvspec::{PVal, SpecError};
 
-use crate::registry::TrafficRegistry;
 use crate::{
     ArrivalConfig, ConstantConfig, DiurnalConfig, FlashConfig, OnOffConfig, ReplayConfig,
     ScheduleConfig, StochasticConfig, TrafficLevel, TrafficModel,
@@ -175,31 +174,7 @@ impl TrafficSpec {
     /// Returns a [`SpecError`] for unknown names/keys, unparsable values
     /// or values outside a model's valid range.
     pub fn parse(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_cli(input)?;
-        TrafficRegistry::builtin().build_spec(&name, params)
-    }
-
-    /// Parses a flat TOML fragment: a `traffic = "name"` entry plus one
-    /// `key = value` line per parameter.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for syntax errors, a missing `traffic`
-    /// key, or any parameter problem [`TrafficSpec::parse`] would report.
-    pub fn from_toml_str(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_flat_toml(input, "traffic")?;
-        TrafficRegistry::builtin().build_spec(&name, params)
-    }
-
-    /// Parses a flat JSON object: `{"traffic": "name", "key": value, ...}`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for syntax errors, a missing `traffic`
-    /// key, or any parameter problem [`TrafficSpec::parse`] would report.
-    pub fn from_json_str(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_flat_json(input, "traffic")?;
-        TrafficRegistry::builtin().build_spec(&name, params)
+        TrafficSpec::registry().parse_cli(input)
     }
 
     /// Renders the spec in the CLI grammar; [`TrafficSpec::parse`] of
@@ -210,15 +185,15 @@ impl TrafficSpec {
         kvspec::render_cli(self.name(), &self.params())
     }
 
-    /// Renders the spec as a flat TOML fragment;
-    /// [`TrafficSpec::from_toml_str`] of the result reproduces it.
+    /// Renders the spec as a flat TOML fragment; the registry's
+    /// `parse_toml` of the result reproduces it.
     #[must_use]
     pub fn to_toml_string(&self) -> String {
         kvspec::render_flat_toml("traffic", self.name(), &self.params())
     }
 
-    /// Renders the spec as a flat JSON object;
-    /// [`TrafficSpec::from_json_str`] of the result reproduces it.
+    /// Renders the spec as a flat JSON object; the registry's
+    /// `parse_json` of the result reproduces it.
     #[must_use]
     pub fn to_json_string(&self) -> String {
         kvspec::render_flat_json("traffic", self.name(), &self.params())
@@ -318,7 +293,8 @@ mod tests {
 
     #[test]
     fn unknown_param_via_toml_lists_accepted_keys() {
-        let text = TrafficSpec::from_toml_str("traffic = \"flash\"\nflux = 9\n")
+        let text = TrafficSpec::registry()
+            .parse_toml("traffic = \"flash\"\nflux = 9\n")
             .unwrap_err()
             .to_string();
         assert!(text.contains("no parameter 'flux'"), "{text}");
@@ -327,7 +303,8 @@ mod tests {
 
     #[test]
     fn unknown_param_via_json_lists_accepted_keys() {
-        let text = TrafficSpec::from_json_str(r#"{"traffic": "constant", "flux": 9}"#)
+        let text = TrafficSpec::registry()
+            .parse_json(r#"{"traffic": "constant", "flux": 9}"#)
             .unwrap_err()
             .to_string();
         assert!(text.contains("no parameter 'flux'"), "{text}");
@@ -368,13 +345,13 @@ mod tests {
             assert_eq!(TrafficSpec::parse(&cli).unwrap(), spec, "CLI: {cli}");
             let toml = spec.to_toml_string();
             assert_eq!(
-                TrafficSpec::from_toml_str(&toml).unwrap(),
+                TrafficSpec::registry().parse_toml(&toml).unwrap(),
                 spec,
                 "TOML: {toml}"
             );
             let json = spec.to_json_string();
             assert_eq!(
-                TrafficSpec::from_json_str(&json).unwrap(),
+                TrafficSpec::registry().parse_json(&json).unwrap(),
                 spec,
                 "JSON: {json}"
             );
@@ -388,9 +365,9 @@ mod tests {
             scale: 1.0,
         });
         let toml = spec.to_toml_string();
-        assert_eq!(TrafficSpec::from_toml_str(&toml).unwrap(), spec);
+        assert_eq!(TrafficSpec::registry().parse_toml(&toml).unwrap(), spec);
         let json = spec.to_json_string();
-        assert_eq!(TrafficSpec::from_json_str(&json).unwrap(), spec);
+        assert_eq!(TrafficSpec::registry().parse_json(&json).unwrap(), spec);
     }
 
     #[test]
@@ -472,16 +449,15 @@ mod tests {
 
     #[test]
     fn stochastic_toml_and_json_carry_dists_as_strings() {
-        let spec = TrafficSpec::from_toml_str(
+        let spec = TrafficSpec::registry().parse_toml(
             "traffic = \"stochastic\"\ngap = \"constant:value=10\"\nsize = \"constant:value=500\"\n",
         )
         .unwrap();
         let model = spec.model().unwrap();
         assert!((model.mean_rate_mbps() - 400.0).abs() < 1e-9);
-        let spec = TrafficSpec::from_json_str(
-            r#"{"traffic": "stochastic", "gap": "exponential:mean=5", "ports": 4}"#,
-        )
-        .unwrap();
+        let spec = TrafficSpec::registry()
+            .parse_json(r#"{"traffic": "stochastic", "gap": "exponential:mean=5", "ports": 4}"#)
+            .unwrap();
         let TrafficSpec::Stochastic(c) = &spec else {
             panic!("wrong variant: {spec:?}");
         };
@@ -516,16 +492,17 @@ mod tests {
 
     #[test]
     fn toml_and_json_fragments_parse() {
-        let spec = TrafficSpec::from_toml_str(
-            r#"
+        let spec = TrafficSpec::registry()
+            .parse_toml(
+                r#"
             # the flash-crowd scenario
             [traffic]
             traffic = "flash"
             base_mbps = 300
             peak_mbps = 2000.0
             "#,
-        )
-        .unwrap();
+            )
+            .unwrap();
         let TrafficSpec::Flash(c) = spec else {
             panic!("wrong variant");
         };
@@ -533,9 +510,9 @@ mod tests {
         assert_eq!(c.peak_mbps, 2000.0);
         assert_eq!(c.at_ms, 4.0); // default
 
-        let spec =
-            TrafficSpec::from_json_str(r#"{"traffic": "constant", "rate": 750, "size": 64}"#)
-                .unwrap();
+        let spec = TrafficSpec::registry()
+            .parse_json(r#"{"traffic": "constant", "rate": 750, "size": 64}"#)
+            .unwrap();
         let TrafficSpec::Constant(c) = spec else {
             panic!("wrong variant");
         };

@@ -21,13 +21,17 @@ fn assert_round_trips(spec: &TrafficSpec) {
     );
     let toml = spec.to_toml_string();
     assert_eq!(
-        &TrafficSpec::from_toml_str(&toml).expect("TOML reparse"),
+        &TrafficSpec::registry()
+            .parse_toml(&toml)
+            .expect("TOML reparse"),
         spec,
         "TOML grammar: {toml}"
     );
     let json = spec.to_json_string();
     assert_eq!(
-        &TrafficSpec::from_json_str(&json).expect("JSON reparse"),
+        &TrafficSpec::registry()
+            .parse_json(&json)
+            .expect("JSON reparse"),
         spec,
         "JSON grammar: {json}"
     );
@@ -233,7 +237,13 @@ fn rendered_toml_and_json_reparse_after_reformatting() {
         "# scenario: saturating bursts\n[traffic]\n  {}",
         spec.to_toml_string().replace('\n', "\n  ")
     );
-    assert_eq!(TrafficSpec::from_toml_str(&hand_toml).unwrap(), spec);
+    assert_eq!(
+        TrafficSpec::registry().parse_toml(&hand_toml).unwrap(),
+        spec
+    );
     let hand_json = spec.to_json_string().replace(',', " ,\n ");
-    assert_eq!(TrafficSpec::from_json_str(&hand_json).unwrap(), spec);
+    assert_eq!(
+        TrafficSpec::registry().parse_json(&hand_json).unwrap(),
+        spec
+    );
 }

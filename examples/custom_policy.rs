@@ -103,14 +103,15 @@ fn main() {
 
     // The same machinery from a config-file fragment: every *registered*
     // policy is reachable from TOML/JSON/spec strings without code.
-    let from_toml = PolicySpec::from_toml_str(
-        r#"
+    let from_toml = PolicySpec::registry()
+        .parse_toml(
+            r#"
         policy = "queue"   # registered name
         high = 0.8
         low = 0.1
         "#,
-    )
-    .expect("valid fragment");
+        )
+        .expect("valid fragment");
     println!(
         "\nthe registry route, for comparison: `{from_toml}` builds the same way\n\
          (promote a custom policy into `dvs` + one registry entry to get this)."
