@@ -56,6 +56,34 @@ fn run_reports_metrics() {
 }
 
 #[test]
+fn zero_cycles_is_rejected_everywhere() {
+    // A run of no cycles simulates an empty chip; every simulating
+    // command must refuse it instead of reporting zeros as a result.
+    let commands: [&[&str]; 7] = [
+        &["run"],
+        &["replicate"],
+        &["sweep"],
+        &["compare"],
+        &["trace", "generate"],
+        &["scenario", "run", "diurnal-day"],
+        &["fleet", "run"],
+    ];
+    for command in commands {
+        let out = abdex()
+            .args(command)
+            .args(["--cycles", "0"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command:?}: {stderr}");
+        assert!(
+            stderr.contains("--cycles must be positive"),
+            "{command:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn policies_lists_the_registry() {
     let out = abdex().arg("policies").output().expect("binary runs");
     assert!(out.status.success());

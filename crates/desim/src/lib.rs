@@ -7,7 +7,8 @@
 //!   arithmetic and conversions to/from engineering units,
 //! * [`Frequency`] — clock frequencies with exact cycle/time conversions,
 //! * [`EventQueue`] — a deterministic future-event list (ties broken in
-//!   insertion order, so simulations are reproducible),
+//!   reservation order, so simulations are reproducible), with [`Key`]s
+//!   that reserve a pop-order slot now and queue an event in it later,
 //! * [`stats`] — streaming statistics (counters, online mean/variance,
 //!   fixed-bin histograms, time-weighted averages),
 //! * [`rng`] — seeded random-number helpers so every experiment is
@@ -39,5 +40,5 @@ pub mod stats;
 mod time;
 
 pub use obs::KernelCounters;
-pub use queue::EventQueue;
+pub use queue::{EventQueue, Key};
 pub use time::{Frequency, SimTime};

@@ -1,13 +1,17 @@
 //! Property-based tests for the simulation kernel.
 
 use desim::stats::{Histogram, OnlineStats, P2Quantile, TimeWeighted};
-use desim::{EventQueue, Frequency, SimTime};
+use desim::{EventQueue, Frequency, Key, SimTime};
 use proptest::prelude::*;
 
-/// The reference event list: the earliest pending event, oldest first
-/// among equal times (`min_by_key` keeps the first of equal keys).
-fn model_pop(model: &mut Vec<(SimTime, usize)>) -> Option<(SimTime, usize)> {
-    let earliest = (0..model.len()).min_by_key(|&i| model[i].0)?;
+/// A reference-model entry: due time, reservation rank, event id, and
+/// the reserved key for events queued through `schedule_key`.
+type ModelEvent = (SimTime, u64, usize, Option<Key>);
+
+/// The reference event list: the earliest pending event, earliest
+/// reserved first among equal times.
+fn model_pop(model: &mut Vec<ModelEvent>) -> Option<ModelEvent> {
+    let earliest = (0..model.len()).min_by_key(|&i| (model[i].0, model[i].1))?;
     Some(model.remove(earliest))
 }
 
@@ -36,43 +40,74 @@ proptest! {
 
     /// Interleaved `schedule` and `pop` calls, with equal-time bursts and
     /// up to about 500 events pending, match a reference model that pops
-    /// the earliest pending event, oldest first among equal times. New
-    /// events land at or after the current time, never in the past, and
-    /// the kernel counters match the model's tallies.
+    /// the earliest pending event, earliest reserved first among equal
+    /// times. New events land at or after the current time, never in the
+    /// past. Some bursts only `reserve` their keys; a later pop step
+    /// queues them with `schedule_key` first, dropping any whose slot has
+    /// passed, and each pops exactly where a plain schedule made at
+    /// reservation time would have. The kernel counters match the
+    /// model's tallies of queued events only.
     #[test]
     fn interleaved_queue_matches_reference_model(
         schedule_weight in 1u8..8,
-        ops in prop::collection::vec((0u8..8, 0u64..40, 1usize..4), 0..400),
+        ops in prop::collection::vec((0u8..8, 0u64..40, 1usize..4, 0u8..2), 0..400),
     ) {
         let mut q = EventQueue::new();
-        let mut model = Vec::new();
-        let (mut next_id, mut peak, mut popped) = (0usize, 0usize, 0u64);
-        for (kind, delay, burst) in ops {
+        let mut model: Vec<ModelEvent> = Vec::new();
+        let mut reserved: Vec<ModelEvent> = Vec::new();
+        let (mut next_id, mut rank, mut peak) = (0usize, 0u64, 0usize);
+        let (mut queued, mut popped) = (0u64, 0u64);
+        // The last popped (time, rank): a reservation at or before it
+        // has passed and can no longer be queued.
+        let mut last: Option<(SimTime, u64)> = None;
+        for (kind, delay, burst, defer) in ops {
+            let defer = defer == 1;
             if kind < schedule_weight {
                 let at = q.now() + SimTime::from_ns(delay);
                 for _ in 0..burst {
-                    q.schedule(at, next_id);
-                    model.push((at, next_id));
+                    if defer {
+                        reserved.push((at, rank, next_id, Some(q.reserve(at))));
+                    } else {
+                        q.schedule(at, next_id);
+                        model.push((at, rank, next_id, None));
+                        queued += 1;
+                    }
                     next_id += 1;
+                    rank += 1;
                 }
-                peak = peak.max(model.len());
             } else {
+                if defer {
+                    for ev in reserved.drain(..) {
+                        if last.is_some_and(|l| (ev.0, ev.1) <= l) {
+                            continue;
+                        }
+                        q.schedule_key(ev.3.expect("reserved events carry a key"), ev.2);
+                        model.push(ev);
+                        queued += 1;
+                        peak = peak.max(model.len());
+                    }
+                }
                 let expected = model_pop(&mut model);
-                popped += u64::from(expected.is_some());
-                prop_assert_eq!(q.pop(), expected);
-                if let Some((t, _)) = expected {
+                prop_assert_eq!(q.pop(), expected.map(|(t, _, id, _)| (t, id)));
+                if let Some((t, r, _, key)) = expected {
+                    popped += 1;
+                    last = Some((t, r));
                     prop_assert_eq!(q.now(), t);
+                    if let Some(key) = key {
+                        prop_assert_eq!(q.current(), key);
+                    }
                 }
             }
+            peak = peak.max(model.len());
             prop_assert_eq!(q.len(), model.len());
         }
-        while let Some(expected) = model_pop(&mut model) {
+        while let Some((t, _, id, _)) = model_pop(&mut model) {
             popped += 1;
-            prop_assert_eq!(q.pop(), Some(expected));
+            prop_assert_eq!(q.pop(), Some((t, id)));
         }
         prop_assert_eq!(q.pop(), None);
         let c = q.counters();
-        prop_assert_eq!(c.events_scheduled, next_id as u64);
+        prop_assert_eq!(c.events_scheduled, queued);
         prop_assert_eq!(c.events_processed, popped);
         prop_assert_eq!(c.peak_heap_len, peak as u64);
     }

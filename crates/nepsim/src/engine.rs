@@ -1,6 +1,8 @@
 //! Microengine state: threads, execution modes and time/energy accounting.
 
-use desim::SimTime;
+use std::sync::Arc;
+
+use desim::{Key, SimTime};
 use dvs::{VfLadder, VfPoint};
 use traffic::Packet;
 
@@ -44,7 +46,9 @@ impl MeMode {
     }
 }
 
-/// Why a thread is not runnable.
+/// What a thread last did. Whether it can run is decided by
+/// [`Thread::ready_at`] alone: a blocked thread keeps its blocked state
+/// until it is next picked, even after its completion falls due.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ThreadState {
     /// Runnable.
@@ -61,18 +65,30 @@ pub(crate) enum ThreadState {
 #[derive(Debug)]
 pub(crate) struct Thread {
     pub state: ThreadState,
+    /// The thread is runnable once the event queue's current key reaches
+    /// this: [`Key::MIN`] when ready, the completion's reserved key when
+    /// blocked, [`NEVER`] while waiting for a packet.
+    pub ready_at: Key,
+    /// `true` once a wake event has been queued under `ready_at`, so a
+    /// completion is never queued twice.
+    pub wake_queued: bool,
     /// The per-packet program currently being executed (empty => needs to
-    /// fetch a packet).
-    pub program: Vec<Segment>,
+    /// fetch a packet), shared by every packet of one role and size.
+    pub program: Arc<[Segment]>,
     pub pc: usize,
     pub packet: Option<Packet>,
 }
+
+/// The `ready_at` of a thread no completion will wake.
+pub(crate) const NEVER: Key = Key::MAX;
 
 impl Thread {
     pub(crate) fn new() -> Self {
         Thread {
             state: ThreadState::Ready,
-            program: Vec::new(),
+            ready_at: Key::MIN,
+            wake_queued: false,
+            program: Arc::new([]),
             pc: 0,
             packet: None,
         }
@@ -329,7 +345,7 @@ mod tests {
     fn thread_fetch_lifecycle() {
         let mut t = Thread::new();
         assert!(t.needs_fetch());
-        t.program = vec![Segment::Compute(10)];
+        t.program = Arc::new([Segment::Compute(10)]);
         t.pc = 0;
         assert!(!t.needs_fetch());
         t.pc = 1;

@@ -23,9 +23,10 @@
 //! segment granularity of this model the deferral is at most a few hundred
 //! cycles and is dwarfed by the 6000-cycle switch penalty.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
-use desim::{EventQueue, SimTime};
+use desim::{EventQueue, Key, SimTime};
 use dvs::{
     DvsPolicy, MeObservation, PolicyObservation, QueueObservation, ScalingDecision,
     MONITOR_ADDER_ENERGY_UJ, SWITCH_PENALTY,
@@ -35,7 +36,7 @@ use obs::{Channel, NullRecorder, Recorder, Recording};
 use traffic::{Packet, PacketSource, RecordedTrace, TrafficModel};
 
 use crate::config::NpuConfig;
-use crate::engine::{MeMode, MeRole, Microengine, PowerTable, ThreadState};
+use crate::engine::{MeMode, MeRole, Microengine, PowerTable, ThreadState, NEVER};
 use crate::memory::{MemoryController, TxBus};
 use crate::power::EnergyMeter;
 use crate::report::{MeReport, SimReport, WindowIdleSample};
@@ -43,17 +44,27 @@ use crate::trace_out::TraceCollector;
 use crate::workload::Segment;
 
 /// Simulation events.
+///
+/// A memory access or bus transfer does not queue its completion: the
+/// issuing thread keeps the completion's reserved key as its `ready_at`
+/// and becomes runnable once the queue's current key reaches it. Only
+/// when a microengine parks does its earliest pending completion go on
+/// the list, as a `Done` wake — the only completion that can change what
+/// the parked ME does next (see `Simulator::queue_wake`).
 #[derive(Debug)]
 enum Ev {
-    /// A packet arrives at a device port.
-    Arrival(Packet),
-    /// A memory access or bus transfer issued by `(me, thread)` completed.
-    Done { me: usize, thread: usize },
+    /// The packet held in `Simulator::next_arrival` arrives at a port.
+    Arrival,
+    /// A completion a parked microengine waits for fell due.
+    Done { me: u32 },
     /// A microengine's scheduled continuation (compute end, stall end).
-    MeStep { me: usize, token: u64 },
+    MeStep { me: u32, token: u64 },
     /// DVS monitor-window boundary.
     Window,
 }
+
+// A queue entry is a 16-byte key plus the event: keep it at 32 bytes.
+const _: () = assert!(std::mem::size_of::<Ev>() == 16);
 
 /// The NePSim-style simulator. See the [crate docs](crate) for the model
 /// and [`NpuConfig`] for the knobs.
@@ -72,6 +83,9 @@ pub struct Simulator {
     config: NpuConfig,
     queue: EventQueue<Ev>,
     mes: Vec<Microengine>,
+    /// Per-packet programs by role and packet size, built once and shared
+    /// by every thread that runs one.
+    programs: HashMap<(MeRole, u32), Arc<[Segment]>>,
     /// ME power per VF level, built once from the ladder and power model.
     power: PowerTable,
     sram: MemoryController,
@@ -80,6 +94,8 @@ pub struct Simulator {
     rx_fifo: VecDeque<Packet>,
     tx_queue: VecDeque<Packet>,
     arrivals: PacketSource,
+    /// The packet of the one pending `Ev::Arrival`.
+    next_arrival: Option<Packet>,
     policy: Box<dyn DvsPolicy>,
     /// Cached `policy.monitors_traffic()` — consulted on every arrival.
     monitor_per_packet: bool,
@@ -150,6 +166,7 @@ impl Simulator {
         Simulator {
             queue: EventQueue::new(),
             mes,
+            programs: HashMap::new(),
             power: PowerTable::new(&config.ladder, &config.power),
             sram: MemoryController::new(mem.sram_latency, mem.sram_service, mem.sram_energy_uj),
             sdram: MemoryController::new(mem.sdram_latency, mem.sdram_service, mem.sdram_energy_uj),
@@ -157,6 +174,7 @@ impl Simulator {
             rx_fifo: VecDeque::new(),
             tx_queue: VecDeque::new(),
             arrivals: traffic.stream(config.seed),
+            next_arrival: None,
             monitor_per_packet: policy.monitors_traffic(),
             policy,
             meter: EnergyMeter::new(),
@@ -344,13 +362,19 @@ impl Simulator {
         self.started = true;
         self.end = dur;
         if let Some(p) = self.arrivals.next() {
-            self.queue.schedule(p.arrival, Ev::Arrival(p));
+            self.queue.schedule(p.arrival, Ev::Arrival);
+            self.next_arrival = Some(p);
         }
         self.queue.schedule(self.window_dur, Ev::Window);
         for m in 0..self.mes.len() {
             let token = self.mes[m].step_token;
-            self.queue
-                .schedule(SimTime::ZERO, Ev::MeStep { me: m, token });
+            self.queue.schedule(
+                SimTime::ZERO,
+                Ev::MeStep {
+                    me: m as u32,
+                    token,
+                },
+            );
         }
     }
 
@@ -403,11 +427,20 @@ impl Simulator {
 
     fn handle(&mut self, ev: Ev, now: SimTime) {
         match ev {
-            Ev::Arrival(p) => self.on_arrival(p, now),
-            Ev::Done { me, thread } => self.on_done(me, thread, now),
+            Ev::Arrival => {
+                let p = self.next_arrival.take().expect("arrival without a packet");
+                self.on_arrival(p, now);
+            }
+            Ev::Done { me } => {
+                // The completion itself needs no handling: its thread is
+                // runnable by key from now on.
+                if self.mes[me as usize].parked {
+                    self.run_me(me as usize, now);
+                }
+            }
             Ev::MeStep { me, token } => {
-                if self.mes[me].step_token == token {
-                    self.run_me(me, now);
+                if self.mes[me as usize].step_token == token {
+                    self.run_me(me as usize, now);
                 }
             }
             Ev::Window => self.on_window(now),
@@ -425,8 +458,8 @@ impl Simulator {
         // Schedule the next arrival.
         if let Some(next) = self.arrivals.next() {
             if next.arrival <= self.end {
-                self.queue
-                    .schedule(next.arrival.max(now), Ev::Arrival(next));
+                self.queue.schedule(next.arrival.max(now), Ev::Arrival);
+                self.next_arrival = Some(next);
             }
         }
 
@@ -440,13 +473,6 @@ impl Simulator {
         } else {
             self.dropped_packets += 1;
             self.window_rx_drops += 1;
-        }
-    }
-
-    fn on_done(&mut self, me: usize, thread: usize, now: SimTime) {
-        self.mes[me].threads[thread].state = ThreadState::Ready;
-        if self.mes[me].parked {
-            self.run_me(me, now);
         }
     }
 
@@ -583,7 +609,13 @@ impl Simulator {
             me.step_token += 1;
             let token = me.step_token;
             let until = me.stalled_until;
-            self.queue.schedule(until, Ev::MeStep { me: m, token });
+            self.queue.schedule(
+                until,
+                Ev::MeStep {
+                    me: m as u32,
+                    token,
+                },
+            );
         }
         // If the ME is mid-compute, its continuation MeStep will observe
         // `stalled_until` and serve the stall before executing further.
@@ -600,6 +632,7 @@ impl Simulator {
             for th in &mut self.mes[m].threads {
                 if th.state == ThreadState::WaitingPacket {
                     th.state = ThreadState::Ready;
+                    th.ready_at = Key::MIN;
                     woke = true;
                 }
             }
@@ -625,7 +658,14 @@ impl Simulator {
             self.set_mode(m, now, MeMode::Stalled);
             self.mes[m].parked = true;
             let token = self.mes[m].step_token;
-            self.queue.schedule(until, Ev::MeStep { me: m, token });
+            self.queue.schedule(
+                until,
+                Ev::MeStep {
+                    me: m as u32,
+                    token,
+                },
+            );
+            self.queue_wake(m);
             return;
         }
 
@@ -647,6 +687,7 @@ impl Simulator {
                 };
                 self.set_mode(m, now, mode);
                 self.mes[m].parked = true;
+                self.queue_wake(m);
                 return;
             };
 
@@ -656,14 +697,39 @@ impl Simulator {
         }
     }
 
-    /// Round-robin selection of the next ready thread.
+    /// Queues a wake for parked ME `m` at its earliest completion still to
+    /// fall due, unless one is queued already. A later completion cannot
+    /// matter: by the time it falls due, this one has woken the ME and
+    /// the ME has either parked again (queueing its next wake) or is
+    /// running, in which case the completion only makes a thread
+    /// runnable, which its key already does.
+    fn queue_wake(&mut self, m: usize) {
+        let current = self.queue.current();
+        let earliest = self.mes[m]
+            .threads
+            .iter_mut()
+            .filter(|t| t.ready_at > current && t.ready_at != NEVER)
+            .min_by_key(|t| t.ready_at);
+        if let Some(th) = earliest {
+            if !th.wake_queued {
+                th.wake_queued = true;
+                self.queue
+                    .schedule_key(th.ready_at, Ev::Done { me: m as u32 });
+            }
+        }
+    }
+
+    /// Round-robin selection of the next runnable thread: one whose
+    /// `ready_at` key the queue has reached.
     fn pick_ready_thread(&mut self, m: usize) -> Option<usize> {
+        let current = self.queue.current();
         let me = &mut self.mes[m];
         let n = me.threads.len();
         let mut ti = me.next_thread;
         for _ in 0..n {
             let next = if ti + 1 == n { 0 } else { ti + 1 };
-            if me.threads[ti].state == ThreadState::Ready {
+            if me.threads[ti].ready_at <= current {
+                me.threads[ti].state = ThreadState::Ready;
                 me.next_thread = next;
                 return Some(ti);
             }
@@ -689,17 +755,16 @@ impl Simulator {
             };
             match popped {
                 Some(pkt) => {
-                    let program = match role {
-                        MeRole::Rx => self.config.benchmark.rx_program(pkt.size_bytes),
-                        MeRole::Tx => self.config.benchmark.tx_program(pkt.size_bytes),
-                    };
+                    let program = self.program(role, pkt.size_bytes);
                     let th = &mut self.mes[m].threads[ti];
                     th.program = program;
                     th.pc = 0;
                     th.packet = Some(pkt);
                 }
                 None => {
-                    self.mes[m].threads[ti].state = ThreadState::WaitingPacket;
+                    let th = &mut self.mes[m].threads[ti];
+                    th.state = ThreadState::WaitingPacket;
+                    th.ready_at = NEVER;
                     return false;
                 }
             }
@@ -713,7 +778,13 @@ impl Simulator {
                 let dt = freq.cycles_to_time(u64::from(n));
                 self.set_mode(m, now, MeMode::Busy);
                 let token = self.mes[m].step_token;
-                self.queue.schedule(now + dt, Ev::MeStep { me: m, token });
+                self.queue.schedule(
+                    now + dt,
+                    Ev::MeStep {
+                        me: m as u32,
+                        token,
+                    },
+                );
                 if self.config.trace.emit_pipeline {
                     let annots = self.fifo_annotations(now);
                     self.trace.pipeline(m, annots);
@@ -738,9 +809,27 @@ impl Simulator {
         }
     }
 
+    /// Blocks thread `ti` until `wake`. The completion takes its place in
+    /// the event order now, but is queued only if a parked ME waits on it.
     fn block_on(&mut self, m: usize, ti: usize, state: ThreadState, wake: SimTime) {
-        self.mes[m].threads[ti].state = state;
-        self.queue.schedule(wake, Ev::Done { me: m, thread: ti });
+        let ready_at = self.queue.reserve(wake);
+        let th = &mut self.mes[m].threads[ti];
+        th.state = state;
+        th.ready_at = ready_at;
+        th.wake_queued = false;
+    }
+
+    /// The per-packet program `role` runs on a packet of `size_bytes`.
+    fn program(&mut self, role: MeRole, size_bytes: u32) -> Arc<[Segment]> {
+        let benchmark = self.config.benchmark;
+        let program = self
+            .programs
+            .entry((role, size_bytes))
+            .or_insert_with(|| match role {
+                MeRole::Rx => benchmark.rx_program(size_bytes).into(),
+                MeRole::Tx => benchmark.tx_program(size_bytes).into(),
+            });
+        Arc::clone(program)
     }
 
     /// Hands a finished packet to the next stage.

@@ -1,12 +1,19 @@
-//! Trajectory pins: exact end-of-run values for three configurations that
+//! Trajectory pins: exact end-of-run values for four configurations that
 //! between them exercise every event kind, both global and per-ME scaling
-//! and the optional `fifo`/`pipeline` trace records.
+//! (including VF-switch stalls while threads wait on memory) and the
+//! optional `fifo`/`pipeline` trace records.
 //!
-//! The kernel counters, packet tallies and the energy's bit pattern are
-//! pure functions of the simulated event sequence, so any change to the
-//! event queue's order or to the power arithmetic shows up here as a
-//! mismatch. A deliberate model change updates the pins in the same
+//! The packet tallies, switches, windows, trace length and the energy's
+//! bit pattern are pure functions of the simulated event sequence, so any
+//! change to the event order or to the power arithmetic shows up here as
+//! a mismatch. A deliberate model change updates the pins in the same
 //! commit and bumps the result-cache epoch.
+//!
+//! The kernel counters count the event queue's own traffic, not simulated
+//! events, so a kernel change that keeps every other field (for example
+//! one that queues fewer events) updates only them. Such a change does not
+//! bump `CACHE_EPOCH`: no document or stderr line reads a cached entry's
+//! counters, because `--obs-stats` and `--record` always simulate.
 
 use dvs::{EdvsConfig, PolicySpec, TdvsConfig};
 use nepsim::{Benchmark, NpuConfig, Simulator, TraceConfig};
@@ -57,9 +64,9 @@ fn ipfwdr_high_tdvs_trajectory_is_pinned() {
         observe(config),
         Trajectory {
             kernel: KernelCounters {
-                events_scheduled: 139121,
-                events_processed: 139101,
-                peak_heap_len: 28,
+                events_scheduled: 95098,
+                events_processed: 95089,
+                peak_heap_len: 24,
             },
             arrived: 1291,
             forwarded: 1238,
@@ -85,9 +92,9 @@ fn nat_low_edvs_trajectory_is_pinned() {
         observe(config),
         Trajectory {
             kernel: KernelCounters {
-                events_scheduled: 6421,
-                events_processed: 6416,
-                peak_heap_len: 10,
+                events_scheduled: 6239,
+                events_processed: 6234,
+                peak_heap_len: 9,
             },
             arrived: 505,
             forwarded: 500,
@@ -117,9 +124,9 @@ fn url_medium_nodvs_full_trace_trajectory_is_pinned() {
         observe(config),
         Trajectory {
             kernel: KernelCounters {
-                events_scheduled: 133047,
-                events_processed: 133033,
-                peak_heap_len: 26,
+                events_scheduled: 100481,
+                events_processed: 100476,
+                peak_heap_len: 12,
             },
             arrived: 1094,
             forwarded: 1081,
@@ -129,6 +136,34 @@ fn url_medium_nodvs_full_trace_trajectory_is_pinned() {
             windows: 50,
             energy_bits: 4661646189434318631,
             trace_len: 43832,
+        }
+    );
+}
+
+#[test]
+fn md4_high_edvs_trajectory_is_pinned() {
+    let config = NpuConfig::builder()
+        .benchmark(Benchmark::Md4)
+        .traffic(TrafficLevel::High)
+        .policy(PolicySpec::Edvs(EdvsConfig::default()))
+        .seed(42)
+        .build();
+    assert_eq!(
+        observe(config),
+        Trajectory {
+            kernel: KernelCounters {
+                events_scheduled: 62031,
+                events_processed: 62024,
+                peak_heap_len: 16,
+            },
+            arrived: 1291,
+            forwarded: 1190,
+            dropped: 0,
+            dropped_tx: 0,
+            switches: 117,
+            windows: 50,
+            energy_bits: 4660359989274549016,
+            trace_len: 1190,
         }
     );
 }

@@ -246,9 +246,11 @@ impl Recording {
 
 /// Event-kernel tallies for one simulation run.
 ///
-/// Every field is a pure function of the simulated event sequence —
-/// no wall-clock quantity may ever live here, because reports carrying
-/// these counters are compared bit-exactly across worker counts.
+/// The fields count the kernel's queue traffic — what was queued and
+/// popped — not simulated events, so a kernel change can move them
+/// without moving anything simulated. They are still deterministic per
+/// run: no wall-clock quantity may ever live here, because reports
+/// carrying these counters are compared bit-exactly across worker counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelCounters {
     /// Events pushed onto the kernel heap.
