@@ -246,7 +246,7 @@ pub fn recording_from_value(v: &Value) -> Option<Recording> {
     Some(Recording::from_samples(samples))
 }
 
-fn versioned(v: &Value) -> Option<&Value> {
+fn versioned<'v, 'a>(v: &'v Value<'a>) -> Option<&'v Value<'a>> {
     (v.u64_of("v")? == PAYLOAD_VERSION).then_some(v)
 }
 

@@ -1087,6 +1087,9 @@ fn resolve_scenario(target: &str) -> Result<Scenario, String> {
 fn cmd_scenario_run(target: &str, opts: &Opts) -> Result<(), String> {
     let plan = abdex::obs::prof::span("plan");
     let mut scenario = resolve_scenario(target)?;
+    // Preflight the model like `--traffic` does, so a missing trace file
+    // or an unbounded rate fails here instead of panicking mid-batch.
+    scenario.traffic.model().map_err(|e| e.to_string())?;
     // CLI flags override the scenario's own run parameters.
     scenario.cycles = cycles(opts, scenario.cycles)?;
     scenario.seed = number(opts, "seed", scenario.seed)?;

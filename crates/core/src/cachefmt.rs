@@ -202,6 +202,35 @@ mod tests {
     }
 
     #[test]
+    fn payloads_round_trip_byte_for_byte() {
+        for benchmark in nepsim::Benchmark::ALL {
+            // noDVS, so the short run forwards enough packets to fill
+            // both distributions' value lists.
+            let e = Experiment {
+                benchmark,
+                policy: PolicySpec::parse("nodvs").unwrap(),
+                cycles: 300_000,
+                ..experiment()
+            };
+            let payload = encode_result(&e.run());
+            let decoded = decode_result(&e, &payload).expect("payload decodes");
+            assert_eq!(encode_result(&decoded), payload, "{benchmark}");
+
+            // One mangled number token is a miss, not a panic.
+            let values = payload
+                .match_indices("\"values\":[")
+                .map(|(i, m)| i + m.len())
+                .find(|&i| !payload[i..].starts_with(']'))
+                .expect("a non-empty values list");
+            let end = values + payload[values..].find([',', ']']).unwrap();
+            for bad in ["1e", "1.2.3", "-", "1e+"] {
+                let mangled = format!("{}{bad}{}", &payload[..values], &payload[end..]);
+                assert!(decode_result(&e, &mangled).is_none(), "{benchmark}: {bad}");
+            }
+        }
+    }
+
+    #[test]
     fn warm_run_equals_cold_run() {
         let cache = temp_cache("warm");
         let e = experiment();

@@ -56,6 +56,39 @@ fn run_reports_metrics() {
 }
 
 #[test]
+fn offered_load_beyond_the_bound_is_rejected_quickly() {
+    // Work grows with offered packets even when the rx FIFO drops them,
+    // so an unbounded rate used to make a 100k-cycle run hang.
+    let start = std::time::Instant::now();
+    let out = abdex()
+        .args([
+            "run",
+            "--traffic",
+            "constant:rate=1e12",
+            "--cycles",
+            "100000",
+        ])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("100000 Mbps bound"), "{stderr}");
+    assert!(start.elapsed() < std::time::Duration::from_secs(10));
+    // The paper's loads, and the largest rate any example uses, still run.
+    for traffic in ["high", "constant:rate=1800"] {
+        let out = abdex()
+            .args(["run", "--traffic", traffic, "--cycles", "100000"])
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{traffic}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+#[test]
 fn zero_cycles_is_rejected_everywhere() {
     // A run of no cycles simulates an empty chip; every simulating
     // command must refuse it instead of reporting zeros as a result.
@@ -1223,7 +1256,8 @@ fn json_dash_pipes_every_command_kind() {
         .output()
         .expect("binary runs");
     assert!(out.status.success());
-    let doc = Value::parse(&String::from_utf8_lossy(&out.stdout)).expect("one JSON document");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let doc = Value::parse(&stdout).expect("one JSON document");
     assert_eq!(doc.u64_of("schema_version"), Some(9));
     assert_eq!(doc.str_of("kind"), Some("experiment"));
     assert!(String::from_utf8_lossy(&out.stderr).contains("mean power"));
@@ -1243,7 +1277,8 @@ fn json_dash_pipes_every_command_kind() {
         .output()
         .expect("binary runs");
     assert!(out.status.success());
-    let doc = Value::parse(&String::from_utf8_lossy(&out.stdout)).expect("one JSON document");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let doc = Value::parse(&stdout).expect("one JSON document");
     assert_eq!(doc.u64_of("schema_version"), Some(9));
     assert_eq!(doc.str_of("kind"), Some("spec_sweep"));
     assert!(String::from_utf8_lossy(&out.stderr).contains("policy_spec"));

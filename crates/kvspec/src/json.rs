@@ -2,16 +2,28 @@
 //!
 //! The CLI's `--json` documents and `--record` exports, the result-cache
 //! payloads, the flat spec objects of [`crate::parse_flat_json`] and the
-//! profiler's Chrome trace are all read and written through this module. One module therefore owns string
-//! escaping ([`escape`]), float tokens ([`num_f64`]), the writer
-//! ([`Obj`], [`array`]) and the parser ([`Value::parse`]).
+//! profiler's Chrome trace are all read and written through this module.
+//! One module therefore owns string escaping ([`escape`]), float tokens
+//! ([`num_f64`]), the writer ([`Obj`], [`array`]) and the parser
+//! ([`Value::parse`]).
 //!
-//! Numbers keep their **raw token** ([`Value::Num`]) instead of eagerly
-//! converting to `f64`: a `u64` parses back exactly (no 2^53 loss), and
-//! an `f64` written with Rust's shortest round-trip `Display` reparses
-//! to the very same bits. That is what lets a cache hit reproduce a
-//! cold run byte-for-byte through every renderer, and what lets a flat
-//! spec keep the number text its author wrote.
+//! The reader is zero-copy: a [`Value`] borrows from the text it was
+//! parsed from.
+//!
+//! - A number is its **raw token**, a slice of the input
+//!   ([`Value::Num`]). The parser validates it lexically (optional sign,
+//!   digits with at most one `.`, at least one mantissa digit, an
+//!   optional exponent with at least one digit), which accepts exactly
+//!   the tokens `f64::from_str` accepts, and converts nothing. Each
+//!   accessor ([`Value::as_f64`], [`Value::as_u64`], [`Value::as_usize`])
+//!   parses the token once, when it is read. So a `u64` parses back
+//!   exactly (no 2^53 loss), an `f64` written with Rust's shortest
+//!   round-trip `Display` reparses to the very same bits, and a flat
+//!   spec keeps the number text its author wrote. That is what lets a
+//!   cache hit reproduce a cold run byte-for-byte through every
+//!   renderer.
+//! - A string or object key is a [`Cow`]: borrowed from the input when it
+//!   has no escapes, owned (unescaped) when it does.
 //!
 //! The reader is deliberately strict-enough-and-no-more: it accepts the
 //! JSON this workspace writes (objects, arrays, strings with standard
@@ -19,38 +31,39 @@
 //! malformed — corruption tolerance at the parse layer, so a damaged
 //! cache entry degrades to a miss instead of a panic.
 
-/// A parsed JSON value.
+use std::borrow::Cow;
+
+/// A parsed JSON value, borrowing from the text it was parsed from.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+pub enum Value<'a> {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A number, kept as its raw token.
-    Num(String),
+    /// A number, kept as its raw (lexically validated) token.
+    Num(&'a str),
     /// A string (escapes resolved).
-    Str(String),
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<Value>),
+    Arr(Vec<Value<'a>>),
     /// An object, in source order.
-    Obj(Vec<(String, Value)>),
+    Obj(Vec<(Cow<'a, str>, Value<'a>)>),
 }
 
-impl Value {
+impl<'a> Value<'a> {
     /// Parses a complete JSON document; `None` on any syntax error or
     /// trailing garbage.
     #[must_use]
-    pub fn parse(text: &str) -> Option<Value> {
-        let bytes = text.as_bytes();
+    pub fn parse(text: &'a str) -> Option<Value<'a>> {
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        (pos == bytes.len()).then_some(v)
+        let v = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        (pos == text.len()).then_some(v)
     }
 
     /// Object member lookup (first match).
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Value> {
+    pub fn get(&self, key: &str) -> Option<&Value<'a>> {
         match self {
             Value::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -59,7 +72,7 @@ impl Value {
 
     /// The elements, when this is an array.
     #[must_use]
-    pub fn as_arr(&self) -> Option<&[Value]> {
+    pub fn as_arr(&self) -> Option<&[Value<'a>]> {
         match self {
             Value::Arr(items) => Some(items),
             _ => None,
@@ -138,7 +151,7 @@ impl Value {
 
     /// `self[key]` as an array.
     #[must_use]
-    pub fn arr_of(&self, key: &str) -> Option<&[Value]> {
+    pub fn arr_of(&self, key: &str) -> Option<&[Value<'a>]> {
         self.get(key)?.as_arr()
     }
 }
@@ -271,20 +284,29 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
 /// the number parser, which rejects it).
 const MAX_DEPTH: usize = 128;
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
+// Every position the parser stops at follows an ASCII byte (or is 0), so
+// slicing `text` between two of them never splits a character.
+
+fn parse_value<'a>(text: &'a str, pos: &mut usize, depth: usize) -> Option<Value<'a>> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos)? {
-        b'{' if depth < MAX_DEPTH => parse_obj(bytes, pos, depth + 1),
-        b'[' if depth < MAX_DEPTH => parse_arr(bytes, pos, depth + 1),
-        b'"' => parse_string(bytes, pos).map(Value::Str),
+        b'{' if depth < MAX_DEPTH => parse_obj(text, pos, depth + 1),
+        b'[' if depth < MAX_DEPTH => parse_arr(text, pos, depth + 1),
+        b'"' => parse_string(text, pos).map(Value::Str),
         b't' => parse_literal(bytes, pos, "true", Value::Bool(true)),
         b'f' => parse_literal(bytes, pos, "false", Value::Bool(false)),
         b'n' => parse_literal(bytes, pos, "null", Value::Null),
-        _ => parse_number(bytes, pos),
+        _ => parse_number(text, pos),
     }
 }
 
-fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Option<Value> {
+fn parse_literal<'a>(
+    bytes: &[u8],
+    pos: &mut usize,
+    lit: &str,
+    value: Value<'a>,
+) -> Option<Value<'a>> {
     let end = *pos + lit.len();
     if bytes.get(*pos..end)? == lit.as_bytes() {
         *pos = end;
@@ -294,35 +316,73 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Opti
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Option<Value> {
+fn parse_number<'a>(text: &'a str, pos: &mut usize) -> Option<Value<'a>> {
     let start = *pos;
+    let bytes = text.as_bytes();
     while let Some(b) = bytes.get(*pos) {
         match b {
             b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E' => *pos += 1,
             _ => break,
         }
     }
-    if *pos == start {
-        return None;
-    }
-    let token = std::str::from_utf8(&bytes[start..*pos]).ok()?;
-    // Validate the token is numeric at all; exactness is the caller's
-    // accessor's job.
-    token.parse::<f64>().ok()?;
-    Some(Value::Num(token.to_owned()))
+    let token = &text[start..*pos];
+    is_number_token(token.as_bytes()).then_some(Value::Num(token))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Option<String> {
+/// Whether `token`, made of `[0-9+-.eE]` only, is a number
+/// `f64::from_str` accepts: an optional sign, digits with at most one
+/// `.` and at least one digit, then an optional `e`/`E`, optional sign
+/// and at least one digit. Exactness is the accessors' job.
+fn is_number_token(token: &[u8]) -> bool {
+    let digits = |s: &[u8]| s.iter().take_while(|b| b.is_ascii_digit()).count();
+    let mut i = usize::from(matches!(token.first(), Some(b'+' | b'-')));
+    let int = digits(&token[i..]);
+    i += int;
+    let mut frac = 0;
+    if token.get(i) == Some(&b'.') {
+        i += 1;
+        frac = digits(&token[i..]);
+        i += frac;
+    }
+    if int + frac == 0 {
+        return false;
+    }
+    if matches!(token.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        i += usize::from(matches!(token.get(i), Some(b'+' | b'-')));
+        let exp = digits(&token[i..]);
+        if exp == 0 {
+            return false;
+        }
+        i += exp;
+    }
+    i == token.len()
+}
+
+fn parse_string<'a>(text: &'a str, pos: &mut usize) -> Option<Cow<'a, str>> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos)? != &b'"' {
         return None;
     }
     *pos += 1;
-    let mut out: Vec<u8> = Vec::new();
+    let start = *pos;
+    // The common case: no escapes, so the string is a slice of the input.
     loop {
         match bytes.get(*pos)? {
             b'"' => {
                 *pos += 1;
-                return String::from_utf8(out).ok();
+                return Some(Cow::Borrowed(&text[start..*pos - 1]));
+            }
+            b'\\' => break,
+            _ => *pos += 1,
+        }
+    }
+    let mut out: Vec<u8> = bytes[start..*pos].to_vec();
+    loop {
+        match bytes.get(*pos)? {
+            b'"' => {
+                *pos += 1;
+                return String::from_utf8(out).ok().map(Cow::Owned);
             }
             b'\\' => {
                 *pos += 1;
@@ -336,7 +396,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Option<String> {
                     b'r' => out.push(b'\r'),
                     b't' => out.push(b'\t'),
                     b'u' => {
-                        let hex = std::str::from_utf8(bytes.get(*pos + 1..*pos + 5)?).ok()?;
+                        let hex = text.get(*pos + 1..*pos + 5)?;
                         let code = u32::from_str_radix(hex, 16).ok()?;
                         // BMP only — all this workspace ever escapes.
                         let c = char::from_u32(code)?;
@@ -356,7 +416,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Option<String> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
+fn parse_arr<'a>(text: &'a str, pos: &mut usize, depth: usize) -> Option<Value<'a>> {
+    let bytes = text.as_bytes();
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -365,7 +426,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
         return Some(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos, depth)?);
+        items.push(parse_value(text, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos)? {
             b',' => *pos += 1,
@@ -378,7 +439,8 @@ fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
+fn parse_obj<'a>(text: &'a str, pos: &mut usize, depth: usize) -> Option<Value<'a>> {
+    let bytes = text.as_bytes();
     *pos += 1; // consume '{'
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -388,13 +450,13 @@ fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         if bytes.get(*pos)? != &b':' {
             return None;
         }
         *pos += 1;
-        let value = parse_value(bytes, pos, depth)?;
+        let value = parse_value(text, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos)? {
@@ -426,7 +488,8 @@ mod tests {
     #[test]
     fn u64_round_trips_exactly_beyond_2_53() {
         let big = u64::MAX - 3;
-        let v = Value::parse(&format!("{{\"n\":{big}}}")).unwrap();
+        let doc = format!("{{\"n\":{big}}}");
+        let v = Value::parse(&doc).unwrap();
         assert_eq!(v.u64_of("n"), Some(big));
     }
 
@@ -434,7 +497,8 @@ mod tests {
     fn f64_round_trips_bit_exactly() {
         for x in [0.1, 1.0 / 3.0, 2.5e-7, 123_456.789_012_345, -0.0, 1e300] {
             let tok = num_f64(x);
-            let v = Value::parse(&format!("{{\"x\":{tok}}}")).unwrap();
+            let doc = format!("{{\"x\":{tok}}}");
+            let v = Value::parse(&doc).unwrap();
             assert_eq!(v.f64_of("x").unwrap().to_bits(), x.to_bits(), "{tok}");
         }
     }
@@ -445,6 +509,57 @@ mod tests {
         let doc = format!("{{\"s\":\"{}\"}}", escape(original));
         let v = Value::parse(&doc).unwrap();
         assert_eq!(v.str_of("s"), Some(original));
+        assert!(matches!(v.get("s"), Some(Value::Str(Cow::Owned(_)))));
+    }
+
+    #[test]
+    fn tokens_and_plain_strings_borrow_from_the_input() {
+        let doc = r#"{"key":"plain","n":-1.5e3}"#;
+        let v = Value::parse(doc).unwrap();
+        let Value::Obj(members) = &v else {
+            panic!("not an object: {v:?}")
+        };
+        assert!(matches!(members[0].0, Cow::Borrowed("key")));
+        assert!(matches!(
+            v.get("key"),
+            Some(Value::Str(Cow::Borrowed("plain")))
+        ));
+        assert_eq!(v.get("n"), Some(&Value::Num("-1.5e3")));
+        assert_eq!(v.f64_of("n"), Some(-1500.0));
+    }
+
+    /// The lexical number check must accept exactly what `f64::from_str`
+    /// accepts over the scanned alphabet; a drift would silently change
+    /// which flat JSON specs and cache entries parse.
+    #[test]
+    fn number_grammar_matches_f64_from_str_exhaustively() {
+        const ALPHABET: &[u8] = b"0123456789+-.eE";
+        let mut token = Vec::with_capacity(5);
+        for len in 1..=5u32 {
+            for mut n in 0..ALPHABET.len().pow(len) {
+                token.clear();
+                for _ in 0..len {
+                    token.push(ALPHABET[n % ALPHABET.len()]);
+                    n /= ALPHABET.len();
+                }
+                let text = std::str::from_utf8(&token).unwrap();
+                assert_eq!(
+                    is_number_token(&token),
+                    text.parse::<f64>().is_ok(),
+                    "{text:?}"
+                );
+            }
+        }
+        // The scan stops at the first byte outside the alphabet; what it
+        // took must still be a whole number.
+        for (doc, ok) in [
+            ("[1.5]", true),
+            ("[1e]", false),
+            ("[1.2.3]", false),
+            ("[-]", false),
+        ] {
+            assert_eq!(Value::parse(doc).is_some(), ok, "{doc}");
+        }
     }
 
     #[test]

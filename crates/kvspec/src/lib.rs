@@ -483,7 +483,7 @@ pub fn parse_flat_toml(input: &str, name_key: &str) -> Result<(String, Params), 
             let Some(Value::Str(s)) = Value::parse(value) else {
                 return Err(malformed(format!("bad string value for '{key}': {value}")));
             };
-            s
+            s.into_owned()
         } else {
             value.to_owned()
         };
@@ -541,8 +541,10 @@ pub fn parse_flat_json(input: &str, name_key: &str) -> Result<(String, Params), 
     let mut name: Option<String> = None;
     let mut params = Params::default();
     for (key, value) in members {
-        let (Value::Str(value) | Value::Num(value)) = value else {
-            return Err(malformed(format!("\"{key}\" must be a string or a number")));
+        let value = match value {
+            Value::Str(s) => s.into_owned(),
+            Value::Num(token) => token.to_owned(),
+            _ => return Err(malformed(format!("\"{key}\" must be a string or a number"))),
         };
         if key == name_key {
             name = Some(value);

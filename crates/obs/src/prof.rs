@@ -518,7 +518,8 @@ mod tests {
             }],
             counters: Vec::new(),
         };
-        let doc = kvspec::json::Value::parse(&profile.chrome_trace_json()).unwrap();
+        let trace = profile.chrome_trace_json();
+        let doc = kvspec::json::Value::parse(&trace).unwrap();
         let events = doc.arr_of("traceEvents").unwrap();
         assert_eq!(events[0].str_of("name"), Some(name));
     }

@@ -90,7 +90,7 @@ pub use onoff::OnOffConfig;
 pub use packet::{Packet, SizeMix};
 pub use replay::{RecordedTrace, ReplayConfig};
 pub use schedule::{ScheduleConfig, ScheduleModel, ScheduleSegment};
-pub use spec::TrafficSpec;
+pub use spec::{TrafficSpec, MAX_OFFERED_MBPS};
 pub use stochastic::StochasticConfig;
 pub use thin::Thinned;
 

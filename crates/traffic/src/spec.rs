@@ -35,6 +35,12 @@ use crate::{
     ScheduleConfig, StochasticConfig, TrafficLevel, TrafficModel,
 };
 
+/// The largest mean offered load, in Mbps, that [`TrafficSpec::model`]
+/// accepts: 100× the IXP1200's 1 Gbps media rate. Past the media rate
+/// the receive FIFO drops the excess, but each offered packet still costs
+/// simulator work, so an unbounded rate would make a short run hang.
+pub const MAX_OFFERED_MBPS: f64 = 100_000.0;
+
 /// A fully parameterised, buildable traffic-model description.
 ///
 /// The canonical wire formats are the three flat grammars above; the
@@ -90,15 +96,32 @@ impl TrafficSpec {
 
     /// Instantiates the live packet-source model.
     ///
-    /// Infallible for every generator; the `trace` model reads its file
-    /// here, so a missing or malformed recording surfaces as an error
-    /// (not at parse time — specs are pure data).
+    /// The `trace` model reads its file here, so a missing or malformed
+    /// recording surfaces as an error (not at parse time — specs are
+    /// pure data). Every model's offered load is checked against
+    /// [`MAX_OFFERED_MBPS`] here too, because the simulator's work grows
+    /// with offered packets even when the receive FIFO drops them.
     ///
     /// # Errors
     ///
     /// Returns [`SpecError::Unbuildable`] when a trace file cannot be
-    /// loaded.
+    /// loaded or the model's mean rate exceeds [`MAX_OFFERED_MBPS`].
     pub fn model(&self) -> Result<Box<dyn TrafficModel>, SpecError> {
+        let model = self.build_model()?;
+        let rate = model.mean_rate_mbps();
+        if rate.is_nan() || rate > MAX_OFFERED_MBPS {
+            return Err(SpecError::Unbuildable {
+                spec: self.spec_string(),
+                reason: format!(
+                    "offered load {rate} Mbps exceeds the {MAX_OFFERED_MBPS} Mbps bound \
+                     (100x the 1 Gbps media rate)"
+                ),
+            });
+        }
+        Ok(model)
+    }
+
+    fn build_model(&self) -> Result<Box<dyn TrafficModel>, SpecError> {
         Ok(match self {
             TrafficSpec::Level(level) => Box::new(ArrivalConfig::for_level(*level)),
             TrafficSpec::Mmpp(c) => Box::new(c.clone()),
@@ -463,6 +486,22 @@ mod tests {
         };
         assert_eq!(c.gap.spec_string(), "exponential:mean=5");
         assert_eq!(c.ports, 4);
+    }
+
+    #[test]
+    fn offered_load_is_bounded() {
+        let err = TrafficSpec::parse("constant:rate=1e12")
+            .unwrap()
+            .model()
+            .expect_err("an unbounded rate must not build");
+        assert!(matches!(err, SpecError::Unbuildable { .. }));
+        assert!(err.to_string().contains("100000 Mbps bound"), "{err}");
+        for ok in ["constant:rate=100000", "constant:rate=1800", "high"] {
+            assert!(TrafficSpec::parse(ok).unwrap().model().is_ok(), "{ok}");
+        }
+        // A schedule is bounded segment by segment.
+        let spec = TrafficSpec::parse("schedule:segments=[low@0..2e6; constant:rate=1e9@2e6..]");
+        assert!(spec.unwrap().model().is_err());
     }
 
     #[test]
